@@ -28,6 +28,15 @@ cargo build --release --examples
 echo "==> cargo test -q"
 RUST_BACKTRACE=1 cargo test -q
 
+# frontbench (the front-door benchmark declared in BENCHMARK.json) is a
+# package outside the workspace; build and test it here so a public-API
+# change cannot break the benchmark unnoticed.
+echo "==> cargo build --release (frontbench)"
+cargo build --release --offline --locked --manifest-path frontbench/Cargo.toml
+
+echo "==> cargo test -q (frontbench)"
+RUST_BACKTRACE=1 cargo test -q --release --offline --locked --manifest-path frontbench/Cargo.toml
+
 echo "==> cargo run -p pp-analyze (static analysis)"
 cargo run -q -p pp-analyze
 

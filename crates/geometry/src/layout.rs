@@ -11,6 +11,9 @@ use serde::{Deserialize, Serialize};
 /// fixed physical width per pixel, so no nonlinear solver is needed to
 /// recover geometry.
 ///
+/// Pixels are bit-packed (a 32×32 clip is 128 bytes), so pattern
+/// libraries of many thousands of clips stay small.
+///
 /// # Example
 ///
 /// ```
@@ -26,7 +29,10 @@ use serde::{Deserialize, Serialize};
 pub struct Layout {
     width: u32,
     height: u32,
-    bits: Vec<bool>,
+    /// Row-major pixels, pixel `i` at bit `i % 64` of word `i / 64`.
+    /// Bits past `width·height` stay zero, so the derived `Eq` and
+    /// `Hash` see pixels only.
+    words: Vec<u64>,
 }
 
 impl Layout {
@@ -37,10 +43,11 @@ impl Layout {
     /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "layout dimensions must be nonzero");
+        let len = (width as usize) * (height as usize);
         Layout {
             width,
             height,
-            bits: vec![false; (width as usize) * (height as usize)],
+            words: vec![0; len.div_ceil(64)],
         }
     }
 
@@ -50,17 +57,29 @@ impl Layout {
     ///
     /// Panics if `bits.len() != width * height` or a dimension is zero.
     pub fn from_bits(width: u32, height: u32, bits: Vec<bool>) -> Self {
-        assert!(width > 0 && height > 0, "layout dimensions must be nonzero");
+        let mut layout = Layout::new(width, height);
         assert_eq!(
             bits.len(),
-            (width as usize) * (height as usize),
+            layout.len(),
             "bit vector length must match dimensions"
         );
-        Layout {
-            width,
-            height,
-            bits,
+        for (word, chunk) in layout.words.iter_mut().zip(bits.chunks(64)) {
+            *word = match <&[bool; 64]>::try_from(chunk) {
+                // A full word: a fixed trip count the compiler vectorises.
+                Ok(full) => {
+                    let mut w = 0;
+                    for (i, &b) in full.iter().enumerate() {
+                        w |= u64::from(b) << i;
+                    }
+                    w
+                }
+                Err(_) => chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |w, (i, &b)| w | (u64::from(b) << i)),
+            };
         }
+        layout
     }
 
     /// Parses a layout from an ASCII art string where `#`/`1` are metal and
@@ -108,10 +127,20 @@ impl Layout {
         Rect::new(0, 0, self.width, self.height)
     }
 
+    /// Number of pixels.
+    fn len(&self) -> usize {
+        (self.width as usize) * (self.height as usize)
+    }
+
     #[inline]
     fn idx(&self, x: u32, y: u32) -> usize {
         debug_assert!(x < self.width && y < self.height);
         (y as usize) * (self.width as usize) + (x as usize)
+    }
+
+    #[inline]
+    fn bit(&self, i: usize) -> bool {
+        (self.words[i / 64] >> (i % 64)) & 1 != 0
     }
 
     /// Reads the pixel at `(x, y)`.
@@ -122,14 +151,19 @@ impl Layout {
     /// an arbitrary pixel via the flattened index).
     #[inline]
     pub fn get(&self, x: u32, y: u32) -> bool {
-        self.bits[self.idx(x, y)]
+        self.bit(self.idx(x, y))
     }
 
     /// Writes the pixel at `(x, y)`.
     #[inline]
     pub fn set(&mut self, x: u32, y: u32, value: bool) {
         let i = self.idx(x, y);
-        self.bits[i] = value;
+        let mask = 1u64 << (i % 64);
+        if value {
+            self.words[i / 64] |= mask;
+        } else {
+            self.words[i / 64] &= !mask;
+        }
     }
 
     /// Fills `rect ∩ bounds` with metal.
@@ -146,8 +180,7 @@ impl Layout {
         if let Some(r) = rect.intersect(&self.bounds()) {
             for y in r.y..r.bottom() {
                 for x in r.x..r.right() {
-                    let i = self.idx(x, y);
-                    self.bits[i] = value;
+                    self.set(x, y, value);
                 }
             }
         }
@@ -155,7 +188,7 @@ impl Layout {
 
     /// Number of metal pixels.
     pub fn metal_area(&self) -> u64 {
-        self.bits.iter().filter(|&&b| b).count() as u64
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// Metal density in `[0, 1]`.
@@ -165,23 +198,49 @@ impl Layout {
 
     /// Row-major iterator over pixels.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        self.bits.iter().copied()
+        (0..self.len()).map(|i| self.bit(i))
     }
 
-    /// Raw row-major bits.
-    pub fn as_bits(&self) -> &[bool] {
-        &self.bits
+    /// Ascending row-major indices `i ≥ step` of the pixels that differ
+    /// from pixel `i − step`: horizontal neighbours for `step = 1`,
+    /// vertical ones for `step = width`. Word-parallel, so the scan-line
+    /// extraction costs one XOR per 64 pixels plus one step per edge.
+    pub(crate) fn edges(&self, step: usize) -> impl Iterator<Item = usize> + '_ {
+        let len = self.len();
+        self.words.iter().enumerate().flat_map(move |(wi, &word)| {
+            let base = wi * 64;
+            let mut diff = word ^ self.window(base as isize - step as isize);
+            // Keep pixels `step ≤ i < len` only.
+            if base < step {
+                diff &= u64::MAX.checked_shl((step - base) as u32).unwrap_or(0);
+            }
+            if base + 64 > len {
+                diff &= (1u64 << (len - base)) - 1;
+            }
+            std::iter::from_fn(move || {
+                (diff != 0).then(|| {
+                    let bit = diff.trailing_zeros() as usize;
+                    diff &= diff - 1;
+                    base + bit
+                })
+            })
+        })
     }
 
-    /// One row of pixels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y >= height`.
-    pub fn row(&self, y: u32) -> &[bool] {
-        assert!(y < self.height);
-        let start = (y as usize) * (self.width as usize);
-        &self.bits[start..start + self.width as usize]
+    /// The 64 pixels from row-major index `start` on as one word
+    /// (pixels outside the clip read as 0).
+    fn window(&self, start: isize) -> u64 {
+        let word = |q: isize| {
+            usize::try_from(q)
+                .ok()
+                .and_then(|q| self.words.get(q))
+                .copied()
+                .unwrap_or(0)
+        };
+        let (q, r) = (start.div_euclid(64), start.rem_euclid(64) as u32);
+        let lo = word(q) >> r;
+        let hi = word(q + 1).checked_shl(64 - r).unwrap_or(0);
+        lo | hi
     }
 
     /// Extracts the sub-clip `rect ∩ bounds` as a new layout.
@@ -264,13 +323,16 @@ impl Layout {
             (other.width, other.height),
             "layout dimensions must match"
         );
-        let bits = self
-            .bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(&a, &b)| a || b)
-            .collect();
-        Layout::from_bits(self.width, self.height, bits)
+        Layout {
+            width: self.width,
+            height: self.height,
+            words: self
+                .words
+                .iter()
+                .zip(&other.words)
+                .map(|(a, b)| a | b)
+                .collect(),
+        }
     }
 
     /// Number of pixels whose value differs between the two clips.
@@ -284,11 +346,11 @@ impl Layout {
             (other.width, other.height),
             "layout dimensions must match"
         );
-        self.bits
+        self.words
             .iter()
-            .zip(&other.bits)
-            .filter(|(a, b)| a != b)
-            .count() as u64
+            .zip(&other.words)
+            .map(|(a, b)| u64::from((a ^ b).count_ones()))
+            .sum()
     }
 }
 
@@ -387,6 +449,149 @@ mod tests {
         b.set(2, 0, true);
         let u = a.or(&b);
         assert!(u.get(0, 0) && u.get(2, 0) && !u.get(1, 0));
+    }
+
+    /// Deterministic xorshift stream for the model test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u32) -> u32 {
+            (self.next() % u64::from(n)) as u32
+        }
+
+        fn rect(&mut self, w: u32, h: u32) -> Rect {
+            let (x, y) = (self.below(w), self.below(h));
+            Rect::new(x, y, 1 + self.below(w - x), 1 + self.below(h - y))
+        }
+    }
+
+    /// Row-major `Vec<bool>` model of a `w×h` clip.
+    #[derive(Clone)]
+    struct Model {
+        w: u32,
+        h: u32,
+        px: Vec<bool>,
+    }
+
+    impl Model {
+        fn at(&self, x: u32, y: u32) -> bool {
+            self.px[(y * self.w + x) as usize]
+        }
+
+        fn paint(&mut self, r: Rect, v: bool) {
+            for y in r.y..r.bottom().min(self.h) {
+                for x in r.x..r.right().min(self.w) {
+                    self.px[(y * self.w + x) as usize] = v;
+                }
+            }
+        }
+
+        fn map(&self, w: u32, h: u32, src: impl Fn(u32, u32) -> (u32, u32)) -> Model {
+            let mut px = Vec::new();
+            for y in 0..h {
+                for x in 0..w {
+                    let (sx, sy) = src(x, y);
+                    px.push(self.at(sx, sy));
+                }
+            }
+            Model { w, h, px }
+        }
+
+        fn assert_eq(&self, l: &Layout, what: &str) {
+            assert_eq!((l.width(), l.height()), (self.w, self.h), "{what}: size");
+            assert_eq!(l.iter().collect::<Vec<_>>(), self.px, "{what}: iter");
+            for y in 0..self.h {
+                for x in 0..self.w {
+                    assert_eq!(l.get(x, y), self.at(x, y), "{what}: get({x}, {y})");
+                }
+            }
+            let area = self.px.iter().filter(|&&b| b).count() as u64;
+            assert_eq!(l.metal_area(), area, "{what}: metal_area");
+            // Equal pixels, however reached, are equal values with equal
+            // hashes: the packed padding bits never leak.
+            let rebuilt = Layout::from_bits(self.w, self.h, self.px.clone());
+            assert_eq!(*l, rebuilt, "{what}: eq");
+            assert_eq!(hash(l), hash(&rebuilt), "{what}: hash");
+        }
+    }
+
+    fn hash(l: &Layout) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        l.hash(&mut h);
+        h.finish()
+    }
+
+    fn random_pair(rng: &mut Rng, w: u32, h: u32) -> (Layout, Model) {
+        let mut l = Layout::new(w, h);
+        let mut m = Model {
+            w,
+            h,
+            px: vec![false; (w * h) as usize],
+        };
+        for _ in 0..6 {
+            let (r, v) = (rng.rect(w, h), rng.below(3) > 0);
+            if v {
+                l.fill_rect(r);
+            } else {
+                l.clear_rect(r);
+            }
+            m.paint(r, v);
+        }
+        for _ in 0..8 {
+            let (x, y, v) = (rng.below(w), rng.below(h), rng.below(2) == 1);
+            l.set(x, y, v);
+            m.px[(y * w + x) as usize] = v;
+        }
+        (l, m)
+    }
+
+    #[test]
+    fn packed_layout_matches_bool_model() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for (w, h) in [(7u32, 9u32), (33, 2), (65, 1), (1, 70), (70, 3), (32, 32)] {
+            for _ in 0..20 {
+                let (a, ma) = random_pair(&mut rng, w, h);
+                let (b, mb) = random_pair(&mut rng, w, h);
+                ma.assert_eq(&a, "set/fill/clear");
+                for step in [1, w as usize] {
+                    let want: Vec<usize> = (step..ma.px.len())
+                        .filter(|&i| ma.px[i] != ma.px[i - step])
+                        .collect();
+                    assert_eq!(a.edges(step).collect::<Vec<_>>(), want, "edges({step})");
+                }
+                let or = Model {
+                    px: ma.px.iter().zip(&mb.px).map(|(x, y)| x | y).collect(),
+                    ..ma.clone()
+                };
+                or.assert_eq(&a.or(&b), "or");
+                let diff = ma.px.iter().zip(&mb.px).filter(|(x, y)| x != y).count();
+                assert_eq!(a.hamming_distance(&b), diff as u64, "hamming");
+                let r = rng.rect(w, h);
+                ma.map(r.w, r.h, |x, y| (r.x + x, r.y + y))
+                    .assert_eq(&a.crop(r), "crop");
+                ma.map(w, h, |x, y| (w - 1 - x, y))
+                    .assert_eq(&a.flip_horizontal(), "flip_horizontal");
+                ma.map(w, h, |x, y| (x, h - 1 - y))
+                    .assert_eq(&a.flip_vertical(), "flip_vertical");
+                ma.map(h, w, |x, y| (y, h - 1 - x))
+                    .assert_eq(&a.rotate_cw(), "rotate_cw");
+            }
+            // Filling then clearing everything is the empty clip.
+            let mut full = Layout::new(w, h);
+            full.fill_rect(full.bounds());
+            assert_eq!(full.metal_area(), u64::from(w * h));
+            full.clear_rect(full.bounds());
+            assert_eq!(full, Layout::new(w, h));
+            assert_eq!(hash(&full), hash(&Layout::new(w, h)));
+        }
     }
 
     #[test]

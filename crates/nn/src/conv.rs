@@ -1,6 +1,6 @@
-//! 2-D convolution (stride 1, "same" padding) via im2col + GEMM.
+//! 2-D convolution (stride 1, "same" padding) as an implicit GEMM.
 
-use crate::gemm::{sgemm, sgemm_nt, sgemm_tn};
+use crate::gemm::{gemm_packed, pack_a, packed_a_len, sgemm_naive, sgemm_nt, sgemm_tn, ALayout};
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -9,13 +9,15 @@ use crate::Layer;
 /// A stride-1 convolution with odd kernel size and same padding.
 ///
 /// Weight layout is `[out_c][in_c][ky][kx]`; bias is per output channel.
-/// Forward lowers each sample to an im2col matrix and multiplies it with
-/// the weight matrix through the register-blocked [`crate::gemm`]
-/// kernels; backward rebuilds the col matrix (recompute-over-store) and
-/// produces both parameter and input gradients through the transposed
-/// GEMM variants. The im2col scratch persists across calls (training) or
-/// comes from a caller [`Workspace`] (inference), so steady-state passes
-/// perform no scratch allocation.
+/// Forward multiplies the weight matrix with each sample's im2col matrix
+/// without building it: the [`crate::gemm`] driver reads every im2col
+/// row straight out of `k` horizontally shifted, zero-padded copies of
+/// each input plane, with the same per-element arithmetic (and so the
+/// same bits) as `sgemm` on the materialised matrix. Backward builds the
+/// col matrix (recompute-over-store) and produces both parameter and
+/// input gradients through the transposed GEMM variants. Scratch
+/// persists across calls (training) or comes from a caller [`Workspace`]
+/// (inference), so steady-state passes perform no scratch allocation.
 ///
 /// # Example
 ///
@@ -35,6 +37,10 @@ pub struct Conv2d {
     bias: Param,
     cached_input: Option<Tensor>,
     scratch: Workspace,
+    /// Offsets of each im2col row into the shifted planes of an input of
+    /// spatial size `rows_hw` (see [`Conv2d::shifted_rows`]).
+    rows: Vec<usize>,
+    rows_hw: (usize, usize),
 }
 
 impl Conv2d {
@@ -54,6 +60,8 @@ impl Conv2d {
             bias: Param::zeros(out_c),
             cached_input: None,
             scratch: Workspace::new(),
+            rows: Vec::new(),
+            rows_hw: (0, 0),
         }
     }
 
@@ -172,34 +180,120 @@ impl Conv2d {
         self.k == 1 && !crate::gemm::force_naive()
     }
 
+    /// Writes one sample's shifted planes: for each input channel `ic`
+    /// and kernel column `kx`, the `(h + k − 1) × w` plane
+    /// `S[ic][kx][r][x] = x[ic][r − pad][x + kx − pad]`, zero outside
+    /// the input. im2col row `(ic, ky, kx)` is then the `h·w` contiguous
+    /// elements of `S[ic][kx]` from row `ky` on.
+    fn shifted_planes(&self, x: &Tensor, n: usize, s: &mut [f32]) {
+        let (h, w) = (x.h(), x.w());
+        let k = self.k;
+        let pad = k / 2;
+        let plane_len = (h + k - 1) * w;
+        for ic in 0..self.in_c {
+            let src = x.plane(n, ic);
+            for kx in 0..k {
+                let dst = &mut s[(ic * k + kx) * plane_len..][..plane_len];
+                dst[..pad * w].fill(0.0);
+                dst[(pad + h) * w..].fill(0.0);
+                let shift = kx as isize - pad as isize;
+                let d0 = shift.unsigned_abs().min(w) * usize::from(shift < 0);
+                let s0 = (shift.max(0) as usize).min(w);
+                let len = w - shift.unsigned_abs().min(w);
+                for y in 0..h {
+                    let row = &mut dst[(pad + y) * w..(pad + y + 1) * w];
+                    row[..d0].fill(0.0);
+                    row[d0 + len..].fill(0.0);
+                    row[d0..d0 + len].copy_from_slice(&src[y * w + s0..y * w + s0 + len]);
+                }
+            }
+        }
+    }
+
+    /// Points `self.rows` at the shifted planes of an `h×w` input (for a
+    /// 1×1 conv, the input planes): entry `p = (ic, ky, kx)` is the
+    /// offset of im2col row `p`. Rebuilt only when the input size
+    /// changes.
+    fn shifted_rows(&mut self, h: usize, w: usize) {
+        let k = self.k;
+        if self.rows_hw != (h, w) {
+            let plane_len = (h + k - 1) * w;
+            self.rows = (0..self.in_c * k * k)
+                .map(|p| {
+                    let (ic, ky, kx) = (p / (k * k), p / k % k, p % k);
+                    (ic * k + kx) * plane_len + ky * w
+                })
+                .collect();
+            self.rows_hw = (h, w);
+        }
+    }
+
     /// The shared forward body: `out[b] = W · col(x[b]) + bias` per
     /// sample, with scratch and the output buffer drawn from `ws`.
-    fn run_forward(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    ///
+    /// The weights are packed once per call. Each sample's im2col matrix
+    /// is never built: the GEMM reads its rows straight out of the
+    /// sample's shifted planes (about `1/k` of im2col's bytes), or, for
+    /// a 1×1 conv, out of the input itself. The per-element arithmetic
+    /// is that of `sgemm` on the im2col matrix, so the output bits are
+    /// too. Under [`crate::gemm::set_force_naive`] the per-pixel im2col
+    /// and the scalar GEMM run instead.
+    fn run_forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.c(), self.in_c, "input channel mismatch");
         let (n, h, w) = (x.n(), x.h(), x.w());
         let hw = h * w;
-        let ick = self.in_c * self.k * self.k;
-        // Take the col scratch first: in the training path (layer-owned
-        // pool) it is the buffer `give`n back last call, so it gets
+        let k = self.k;
+        let ick = self.in_c * k * k;
+        let per_sample = self.out_c * hw;
+        // Take the scratch first: in the training path (layer-owned
+        // pool) it is the buffers `give`n back last call, so they get
         // reused while the returned output draws a fresh allocation.
-        let mut col = if self.direct_input() {
+        if crate::gemm::force_naive() {
+            let mut col = ws.take(ick * hw);
+            let mut out = Tensor::from_vec([n, self.out_c, h, w], ws.take(n * per_sample));
+            for (b, c) in out.data_mut().chunks_exact_mut(per_sample).enumerate() {
+                self.im2col_reference(x, b, &mut col);
+                sgemm_naive(self.out_c, ick, hw, &self.weight.value, &col, c, 0.0);
+            }
+            ws.give(col);
+            return self.add_bias(out);
+        }
+        let mut packed = ws.take(packed_a_len(self.out_c, ick));
+        pack_a(
+            self.out_c,
+            ick,
+            &self.weight.value,
+            ALayout::Normal,
+            &mut packed,
+        );
+        self.shifted_rows(h, w);
+        let mut planes = if k == 1 {
             Vec::new()
         } else {
-            ws.take(ick * hw)
+            ws.take(self.in_c * k * (h + k - 1) * w)
         };
-        let mut out = Tensor::from_vec([n, self.out_c, h, w], ws.take(n * self.out_c * hw));
-        for b in 0..n {
-            // out rows for sample b are contiguous: one GEMM per sample.
-            let c = &mut out.data_mut()[b * self.out_c * hw..(b + 1) * self.out_c * hw];
-            if self.direct_input() {
-                let xb = &x.data()[b * ick * hw..(b + 1) * ick * hw];
-                sgemm(self.out_c, ick, hw, &self.weight.value, xb, c, 0.0);
+        let mut out = Tensor::from_vec([n, self.out_c, h, w], ws.take(n * per_sample));
+        for (b, c) in out.data_mut().chunks_exact_mut(per_sample).enumerate() {
+            c.fill(0.0);
+            // A 1×1 conv's shifted plane is the input plane itself.
+            let b_rows = if k == 1 {
+                &x.data()[b * ick * hw..(b + 1) * ick * hw]
             } else {
-                self.im2col(x, b, &mut col);
-                sgemm(self.out_c, ick, hw, &self.weight.value, &col, c, 0.0);
-            }
-            for oc in 0..self.out_c {
-                let bias = self.bias.value[oc];
+                self.shifted_planes(x, b, &mut planes);
+                &planes
+            };
+            gemm_packed(self.out_c, ick, hw, &packed, b_rows, &self.rows, c);
+        }
+        ws.give(planes);
+        ws.give(packed);
+        self.add_bias(out)
+    }
+
+    /// Adds each output channel's bias to its planes.
+    fn add_bias(&self, mut out: Tensor) -> Tensor {
+        let hw = out.h() * out.w();
+        for c in out.data_mut().chunks_exact_mut(self.out_c * hw) {
+            for (oc, &bias) in self.bias.value.iter().enumerate() {
                 if bias != 0.0 {
                     for v in &mut c[oc * hw..(oc + 1) * hw] {
                         *v += bias;
@@ -207,7 +301,6 @@ impl Conv2d {
                 }
             }
         }
-        ws.give(col);
         out
     }
 }
@@ -283,6 +376,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{sgemm, tier};
     use crate::gradcheck::check_layer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -391,6 +485,77 @@ mod tests {
                 conv.im2col_reference(&x, b, &mut reference);
                 assert_eq!(fast, reference, "ic={ic} k={k} {h}x{w} sample {b}");
             }
+        }
+    }
+
+    /// The im2col + `sgemm` composition the implicit forward replaced,
+    /// kept as its bit-level reference.
+    fn im2col_sgemm_forward(conv: &Conv2d, x: &Tensor) -> Tensor {
+        let hw = x.h() * x.w();
+        let ick = conv.in_c * conv.k * conv.k;
+        let mut col = vec![0.0; ick * hw];
+        let mut out = Tensor::zeros([x.n(), conv.out_c, x.h(), x.w()]);
+        for (b, c) in out.data_mut().chunks_exact_mut(conv.out_c * hw).enumerate() {
+            conv.im2col(x, b, &mut col);
+            sgemm(conv.out_c, ick, hw, &conv.weight.value, &col, c, 0.0);
+        }
+        conv.add_bias(out)
+    }
+
+    /// The implicit-GEMM forward must reproduce im2col + `sgemm` bit for
+    /// bit on every ISA tier this CPU has: ragged widths (hw < 16),
+    /// hw % 32 == 16 and full 32-column tiles, every kernel size, row
+    /// counts on and off the 6-row micro-tile, several k-panels
+    /// (in_c·k² > 256) and batches.
+    #[test]
+    fn implicit_forward_matches_im2col_sgemm_bitwise() {
+        let sides = [(2usize, 2usize), (4, 4), (4, 6), (8, 8), (32, 32)];
+        let outs = [1usize, 5, 6, 7, 16, 64];
+        let batches = [1usize, 3, 16];
+        for tier in tier::available() {
+            tier::with(tier, || {
+                let mut case = 0u64;
+                for &(h, w) in &sides {
+                    for k in [1usize, 3, 5] {
+                        for &out_c in &outs {
+                            case += 1;
+                            // Alternate one k-panel with several.
+                            let in_c = if case.is_multiple_of(2) {
+                                3
+                            } else {
+                                257 / (k * k) + 1
+                            };
+                            let batch = batches[case as usize % 3];
+                            let mut conv = Conv2d::new(in_c, out_c, k, case);
+                            let mut rng = StdRng::seed_from_u64(case);
+                            for v in &mut conv.bias.value {
+                                *v = rng.gen_range(-1.0f32..1.0);
+                            }
+                            let x = random_tensor([batch, in_c, h, w], case + 1000);
+                            let want = im2col_sgemm_forward(&conv, &x);
+                            // Scratch arrives dirty from the pool: every
+                            // element the forward reads it must write.
+                            let mut ws = Workspace::new();
+                            let ick = in_c * k * k;
+                            let dirty =
+                                ick * (h + k) * w + batch * out_c * h * w + (out_c + 6) * ick;
+                            for _ in 0..3 {
+                                ws.give(vec![f32::NAN; dirty]);
+                            }
+                            let got = conv.forward_infer(&x, &mut ws);
+                            let same = want
+                                .data()
+                                .iter()
+                                .zip(got.data())
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
+                            assert!(
+                                same,
+                                "{tier:?}: in_c={in_c} out_c={out_c} k={k} {h}x{w} batch={batch}"
+                            );
+                        }
+                    }
+                }
+            });
         }
     }
 

@@ -1,24 +1,30 @@
 //! Register-blocked, cache-tiled single-precision matrix multiply.
 //!
 //! This is the workhorse under [`crate::Conv2d`] and [`crate::Linear`]:
-//! convolution lowers to `weights · im2col` and dense layers to
+//! convolution lowers to `weights · col(x)` and dense layers to
 //! `x · Wᵀ`, so one good GEMM accelerates the whole sampling and
-//! training hot path. Three memory layouts cover every call site without
-//! materialising transposes:
+//! training hot path. Three memory layouts cover every public call site
+//! without materialising transposes:
 //!
 //! * [`sgemm`]   — `C = A·B + β·C`   with `A: m×k`, `B: k×n`;
 //! * [`sgemm_tn`] — `C = Aᵀ·B + β·C` with `A` stored `k×m`;
 //! * [`sgemm_nt`] — `C = A·Bᵀ + β·C` with `B` stored `n×k`.
 //!
-//! All matrices are dense row-major `f32` slices. The kernels tile the
-//! k-dimension into L1/L2-sized panels (`KC`) and accumulate
-//! `MR`×`NR` micro-tiles — in AVX2+FMA registers when the CPU has
-//! them (runtime-detected), else in portable local arrays the compiler
-//! vectorises. The reduction order over `k` for an output element is a
-//! pure function of the call shape `(m, k, n)` and the element's
-//! position, so equal-shaped calls on equal data are bit-identical —
-//! the property batched sampling relies on, since batching runs the
-//! same per-sample GEMM shapes as the solo path.
+//! All public operands are dense row-major `f32` slices. `sgemm`,
+//! `sgemm_tn` and the convolution forward share one blocked driver. It
+//! reads A from micro-panels packed once per call, and finds each row of
+//! B through a row-offset function: `p·n` for a dense `k×n` B, an
+//! offset into shifted input planes for the convolution, which never
+//! builds its im2col matrix. The driver tiles the k-dimension into
+//! L1/L2-sized panels (`KC`) and accumulates register micro-tiles:
+//! `6×32` with AVX-512F, `6×16` with AVX2+FMA (both runtime-detected),
+//! else portable local arrays the compiler vectorises; the portable
+//! kernel also covers the ragged right edge. The reduction order over
+//! `k` for an output element is a pure function of the call shape
+//! `(m, k, n)` and the element's position, whatever the B addressing,
+//! so equal-shaped calls on equal data are bit-identical — the property
+//! batched sampling relies on, since batching runs the same per-sample
+//! GEMM shapes as the solo path.
 //!
 //! A scalar reference implementation ([`sgemm_naive`] and friends) backs
 //! the unit tests and the `force_naive` switch used by `pp-bench` to
@@ -43,6 +49,7 @@
 // obscure the kernel shape.
 #![allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Rows per register micro-tile (6×16 f32 = 12 ymm accumulators).
@@ -78,7 +85,6 @@ fn cpu_has_avx512f() -> bool {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-#[allow(dead_code)]
 fn cpu_has_avx512f() -> bool {
     false
 }
@@ -112,7 +118,7 @@ fn scale_c(c: &mut [f32], beta: f32) {
 /// Element accessors for the three operand layouts, so one blocked
 /// driver serves NN/TN and one dot-product driver serves NT.
 #[derive(Clone, Copy)]
-enum ALayout {
+pub(crate) enum ALayout {
     /// `A` stored `m×k` row-major: `a[i·k + p]`.
     Normal,
     /// `A` stored `k×m` row-major (op = `Aᵀ`): `a[p·m + i]`.
@@ -129,25 +135,96 @@ impl ALayout {
     }
 }
 
+/// Which micro-kernels the driver may use.
+#[derive(Clone, Copy)]
+struct Isa {
+    avx512: bool,
+    avx2: bool,
+}
+
+impl Isa {
+    /// The instruction sets this CPU reports (capped, in unit tests, by
+    /// the calling thread's [`tier`] override).
+    fn current() -> Isa {
+        let isa = Isa {
+            avx512: cpu_has_avx512f(),
+            avx2: cpu_has_avx2_fma(),
+        };
+        #[cfg(test)]
+        let isa = tier::cap(isa);
+        isa
+    }
+
+    /// The kernel and width of the column tile starting `rem` columns
+    /// before the right edge: the widest instruction set first, the
+    /// portable kernel for the ragged edge.
+    fn tile(self, rem: usize) -> (Tile, usize) {
+        if self.avx512 && rem >= 32 {
+            (Tile::Avx512, 32)
+        } else if self.avx2 && rem >= NR {
+            (Tile::Avx2, NR)
+        } else {
+            (Tile::Portable, rem.min(NR))
+        }
+    }
+}
+
+/// The micro-kernel computing one column tile.
+#[derive(Clone, Copy)]
+enum Tile {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+/// Elements [`pack_a`] writes for an `m×k` `op(A)`.
+pub(crate) fn packed_a_len(m: usize, k: usize) -> usize {
+    m.div_ceil(MR) * MR * k
+}
+
+/// Packs `op(A)` (`m×k`) into the micro-panels [`gemm_packed`] reads:
+/// per `KC` panel and `MR`-row tile one contiguous `[kc][MR]` block
+/// (rows past `m` zero), the block for panel `p0`, tile `i0` starting at
+/// `p0·m̄ + i0·kc` with `m̄` = `m` rounded up to `MR`.
+pub(crate) fn pack_a(m: usize, k: usize, a: &[f32], lay: ALayout, ap: &mut [f32]) {
+    debug_assert_eq!(a.len(), m * k, "A must hold m·k elements");
+    let mpad = m.div_ceil(MR) * MR;
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        for i0 in (0..m).step_by(MR) {
+            let mr = MR.min(m - i0);
+            let panel = &mut ap[p0 * mpad + i0 * kc..][..kc * MR];
+            for p in 0..kc {
+                for r in 0..MR {
+                    panel[p * MR + r] = if r < mr {
+                        lay.at(a, i0 + r, p0 + p, m, k)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+}
+
 /// Portable `MR×nr` micro-kernel: accumulates a register tile over one
-/// packed A panel (`ap`, `[kc][MR]`) and adds it into `C`.
+/// packed A panel (`ap`, `[kc][MR]`) against the B rows starting at
+/// `b[rows[p]]` (`kc = rows.len()`), and adds it into `C`.
 #[inline]
 fn kernel_tile(
-    kc: usize,
     ap: &[f32],
     b: &[f32],
-    row0: usize,
-    n: usize,
+    rows: &[usize],
     j0: usize,
     nr: usize,
     c: &mut [f32],
+    n: usize,
     i0: usize,
     mr: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kc {
-        let brow = &b[(row0 + p) * n + j0..(row0 + p) * n + j0 + nr];
-        let apk = &ap[p * MR..p * MR + MR];
+    for (&row, apk) in rows.iter().zip(ap.chunks_exact(MR)) {
+        let brow = &b[row + j0..row + j0 + nr];
         for r in 0..MR {
             let av = apk[r];
             for (x, &bv) in acc[r][..nr].iter_mut().zip(brow) {
@@ -168,35 +245,35 @@ fn kernel_tile(
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2+FMA are available and that the index ranges
-/// (`row0+kc` rows of B at width ≥ `j0+16`, rows `i0..i0+mr` of C) are
-/// in bounds; debug asserts guard the latter.
+/// Caller must ensure AVX2+FMA are available, that `ap` holds
+/// `rows.len()·MR` elements, that every B row `b[rows[p] + j0..]` holds
+/// 16 elements, and that rows `i0..i0+mr` of C (width `n ≥ j0 + 16`) lie
+/// within `c`; debug asserts re-check all three.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn kernel_tile_avx(
-    kc: usize,
     ap: &[f32],
     b: &[f32],
-    row0: usize,
-    n: usize,
+    rows: &[usize],
     j0: usize,
     c: &mut [f32],
+    n: usize,
     i0: usize,
     mr: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * MR);
-    debug_assert!((row0 + kc - 1) * n + j0 + NR <= b.len());
+    debug_assert!(ap.len() >= rows.len() * MR);
+    debug_assert!(rows.iter().all(|&row| row + j0 + NR <= b.len()));
     debug_assert!((i0 + mr - 1) * n + j0 + NR <= c.len());
     // SAFETY: the caller upholds this fn's `# Safety` contract (AVX2+FMA
-    // present, B/C index ranges in bounds, re-checked by the
+    // present, A/B/C index ranges in bounds, re-checked by the
     // debug_asserts above), so every load/store stays in bounds.
     unsafe {
         let mut acc = [[_mm256_setzero_ps(); 2]; MR];
         let bp = b.as_ptr();
         let app = ap.as_ptr();
-        for p in 0..kc {
-            let brow = bp.add((row0 + p) * n + j0);
+        for (p, &row) in rows.iter().enumerate() {
+            let brow = bp.add(row + j0);
             let b0 = _mm256_loadu_ps(brow);
             let b1 = _mm256_loadu_ps(brow.add(8));
             let apk = app.add(p * MR);
@@ -223,34 +300,35 @@ unsafe fn kernel_tile_avx(
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX-512F is available and that `j0 + 32 ≤ n` with
-/// rows `row0..row0+kc` of B and `i0..i0+mr` of C in bounds.
+/// Caller must ensure AVX-512F is available, that `ap` holds
+/// `rows.len()·MR` elements, that every B row `b[rows[p] + j0..]` holds
+/// 32 elements, and that rows `i0..i0+mr` of C (width `n ≥ j0 + 32`) lie
+/// within `c`; debug asserts re-check all three.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn kernel_tile_avx512(
-    kc: usize,
     ap: &[f32],
     b: &[f32],
-    row0: usize,
-    n: usize,
+    rows: &[usize],
     j0: usize,
     c: &mut [f32],
+    n: usize,
     i0: usize,
     mr: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * MR);
-    debug_assert!((row0 + kc - 1) * n + j0 + 32 <= b.len());
+    debug_assert!(ap.len() >= rows.len() * MR);
+    debug_assert!(rows.iter().all(|&row| row + j0 + 32 <= b.len()));
     debug_assert!((i0 + mr - 1) * n + j0 + 32 <= c.len());
     // SAFETY: the caller upholds this fn's `# Safety` contract (AVX-512F
-    // present, B/C index ranges in bounds, re-checked by the
+    // present, A/B/C index ranges in bounds, re-checked by the
     // debug_asserts above), so every load/store stays in bounds.
     unsafe {
         let mut acc = [[_mm512_setzero_ps(); 2]; MR];
         let bp = b.as_ptr();
         let app = ap.as_ptr();
-        for p in 0..kc {
-            let brow = bp.add((row0 + p) * n + j0);
+        for (p, &row) in rows.iter().enumerate() {
+            let brow = bp.add(row + j0);
             let b0 = _mm512_loadu_ps(brow);
             let b1 = _mm512_loadu_ps(brow.add(16));
             let apk = app.add(p * MR);
@@ -272,8 +350,92 @@ unsafe fn kernel_tile_avx512(
     }
 }
 
-/// `C = op(A)·B + β·C` for row-major `B: k×n`, blocked over k and
-/// register-tiled `MR×NR`.
+/// Row counts up to which [`gemm_packed`] walks column tiles outermost.
+const COLUMN_MAJOR_MAX_M: usize = 64;
+
+/// `C += op(A)·B` with `op(A)` (`m×k`) packed by [`pack_a`] into `ap`,
+/// and row `p` of B the `n` elements starting at `b[rows[p]]`.
+///
+/// A dense row-major `k×n` B has `rows[p] = p·n`; the convolution
+/// forward passes offsets into its shifted input planes instead. For a
+/// short A (`m ≤ 64`, e.g. a conv's weights) column tiles are walked
+/// outermost, so one B tile stays in L1 while every row tile passes
+/// over it; for a tall A, row tiles are, so each A micro-panel stays in
+/// L1 while C is streamed row by row. Either way each C element
+/// accumulates one fma (portable: mul-add) chain per `KC` panel
+/// starting from zero and adds the panels into C in panel order, so its
+/// bits depend only on its operands, `k`, and its column's tile (a
+/// function of `n`, the column and the ISA tier) — never on how B is
+/// addressed or on the loop order.
+///
+/// # Panics
+///
+/// Panics if `ap`, `rows` or `c` is too short for the shape, or some B
+/// row runs past the end of `b`.
+pub(crate) fn gemm_packed(
+    m: usize,
+    k: usize,
+    n: usize,
+    ap: &[f32],
+    b: &[f32],
+    rows: &[usize],
+    c: &mut [f32],
+) {
+    assert!(ap.len() >= packed_a_len(m, k), "packed A too short");
+    assert!(c.len() >= m * n, "C must hold m×n");
+    let rows = &rows[..k];
+    assert!(
+        rows.iter().all(|&row| row + n <= b.len()),
+        "B row out of bounds"
+    );
+    let isa = Isa::current();
+    let mpad = m.div_ceil(MR) * MR;
+    // One micro-tile: A micro-panel `a` (rows `i0..i0+mr`) against the
+    // B rows `panel`, at columns `j0..`; returns the tile's width.
+    let tile = |a: &[f32], panel: &[usize], i0: usize, mr: usize, j0: usize, c: &mut [f32]| {
+        let (kind, width) = isa.tile(n - j0);
+        match kind {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::current` reported AVX-512F; the asserts
+            // above keep every B row's `n ≥ j0 + 32` columns and C's
+            // rows `i0..i0+mr` in bounds.
+            Tile::Avx512 => unsafe { kernel_tile_avx512(a, b, panel, j0, c, n, i0, mr) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::current` reported AVX2+FMA; the asserts
+            // above keep every B row's `n ≥ j0 + 16` columns and C's
+            // rows `i0..i0+mr` in bounds.
+            Tile::Avx2 => unsafe { kernel_tile_avx(a, b, panel, j0, c, n, i0, mr) },
+            _ => kernel_tile(a, b, panel, j0, width, c, n, i0, mr),
+        }
+        width
+    };
+    let panels = (0..k).step_by(KC).map(|p0| (p0, &rows[p0..k.min(p0 + KC)]));
+    let a_tile = |p0: usize, kc: usize, i0: usize| &ap[p0 * mpad + i0 * kc..][..kc * MR];
+    if m <= COLUMN_MAJOR_MAX_M {
+        let mut j0 = 0;
+        while j0 < n {
+            for (p0, panel) in panels.clone() {
+                for i0 in (0..m).step_by(MR) {
+                    let a = a_tile(p0, panel.len(), i0);
+                    tile(a, panel, i0, MR.min(m - i0), j0, c);
+                }
+            }
+            j0 += isa.tile(n - j0).1;
+        }
+    } else {
+        for (p0, panel) in panels {
+            for i0 in (0..m).step_by(MR) {
+                let (a, mr) = (a_tile(p0, panel.len(), i0), MR.min(m - i0));
+                let mut j0 = 0;
+                while j0 < n {
+                    j0 += tile(a, panel, i0, mr, j0, c);
+                }
+            }
+        }
+    }
+}
+
+/// `C = op(A)·B + β·C` for a dense row-major `B: k×n`.
 fn gemm_nx(
     m: usize,
     k: usize,
@@ -286,55 +448,18 @@ fn gemm_nx(
 ) {
     debug_assert_eq!(b.len(), k * n, "B must be k×n");
     debug_assert_eq!(c.len(), m * n, "C must be m×n");
-    debug_assert_eq!(a.len(), m * k, "A must hold m·k elements");
-    scale_c(c, beta);
-    let avx = cpu_has_avx2_fma();
-    #[cfg(target_arch = "x86_64")]
-    let avx512 = cpu_has_avx512f();
-    let mut ap = [0.0f32; MR * KC];
-    for p0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - p0);
-        for i0 in (0..m).step_by(MR) {
-            let mr = MR.min(m - i0);
-            // Pack the A micro-panel once per (i0, p0): contiguous
-            // [kc][MR] layout so the inner loop reads one cache line.
-            for p in 0..kc {
-                for r in 0..mr {
-                    ap[p * MR + r] = lay.at(a, i0 + r, p0 + p, m, k);
-                }
-                for r in mr..MR {
-                    ap[p * MR + r] = 0.0;
-                }
-            }
-            let mut j0 = 0;
-            // Full-width tiles with register accumulators, widest
-            // instruction set first.
-            #[cfg(target_arch = "x86_64")]
-            while avx512 && j0 + 32 <= n {
-                // SAFETY: feature-detected above; j0+32 ≤ n and
-                // i0+mr ≤ m keep every access in bounds.
-                unsafe { kernel_tile_avx512(kc, &ap, b, p0, n, j0, c, i0, mr) };
-                j0 += 32;
-            }
-            while j0 + NR <= n {
-                #[cfg(target_arch = "x86_64")]
-                if avx {
-                    // SAFETY: feature-detected above; j0+NR ≤ n and
-                    // i0+mr ≤ m keep every access in bounds.
-                    unsafe { kernel_tile_avx(kc, &ap, b, p0, n, j0, c, i0, mr) };
-                    j0 += NR;
-                    continue;
-                }
-                let _ = avx;
-                kernel_tile(kc, &ap, b, p0, n, j0, NR, c, i0, mr);
-                j0 += NR;
-            }
-            // Ragged right edge: portable kernel at partial width.
-            if j0 < n {
-                kernel_tile(kc, &ap, b, p0, n, j0, n - j0, c, i0, mr);
-            }
-        }
+    thread_local! {
+        /// Packed-A scratch reused across calls on this thread, so a
+        /// large A does not cost a fresh (page-faulting) allocation.
+        static PACKED_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     }
+    scale_c(c, beta);
+    let rows: Vec<usize> = (0..k).map(|p| p * n).collect();
+    PACKED_A.with_borrow_mut(|ap| {
+        ap.resize(packed_a_len(m, k), 0.0);
+        pack_a(m, k, a, lay, ap);
+        gemm_packed(m, k, n, ap, b, &rows, c);
+    });
 }
 
 /// `C = A·B + β·C` (`A: m×k`, `B: k×n`, `C: m×n`, all row-major).
@@ -369,7 +494,7 @@ pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
     debug_assert_eq!(b.len(), n * k, "B must be n×k");
     debug_assert_eq!(c.len(), m * n, "C must be m×n");
     scale_c(c, beta);
-    let avx = cpu_has_avx2_fma();
+    let avx = Isa::current().avx2;
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
@@ -518,6 +643,61 @@ pub fn sgemm_nt_naive(
     }
 }
 
+/// Test-only cap on the kernels [`Isa::current`] picks on the calling
+/// thread, so a host with AVX-512 also exercises the AVX2 and portable
+/// paths. Not a runtime setting: it does not exist outside unit tests.
+#[cfg(test)]
+pub(crate) mod tier {
+    use super::{cpu_has_avx2_fma, cpu_has_avx512f, Isa};
+    use std::cell::Cell;
+
+    /// The widest micro-kernel allowed.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum Tier {
+        Portable,
+        Avx2,
+        Avx512,
+    }
+
+    thread_local! {
+        static CAP: Cell<Tier> = const { Cell::new(Tier::Avx512) };
+    }
+
+    /// The tiers this CPU can run.
+    pub(crate) fn available() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        if cpu_has_avx2_fma() {
+            tiers.push(Tier::Avx2);
+        }
+        if cpu_has_avx512f() {
+            tiers.push(Tier::Avx512);
+        }
+        tiers
+    }
+
+    /// Runs `f` with the calling thread's kernels capped at `tier`.
+    pub(crate) fn with<R>(tier: Tier, f: impl FnOnce() -> R) -> R {
+        let prev = CAP.with(|c| c.replace(tier));
+        let out = f();
+        CAP.with(|c| c.set(prev));
+        out
+    }
+
+    pub(super) fn cap(isa: Isa) -> Isa {
+        match CAP.with(Cell::get) {
+            Tier::Avx512 => isa,
+            Tier::Avx2 => Isa {
+                avx512: false,
+                ..isa
+            },
+            Tier::Portable => Isa {
+                avx512: false,
+                avx2: false,
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,49 +744,61 @@ mod tests {
 
     #[test]
     fn sgemm_matches_naive_on_random_shapes() {
-        for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
-            let a = random_matrix(m * k, 100 + si as u64);
-            let b = random_matrix(k * n, 200 + si as u64);
-            let mut c_fast = random_matrix(m * n, 300 + si as u64);
-            let mut c_ref = c_fast.clone();
-            sgemm(m, k, n, &a, &b, &mut c_fast, 1.0);
-            sgemm_naive(m, k, n, &a, &b, &mut c_ref, 1.0);
-            assert_close(&c_fast, &c_ref, 1e-4);
+        for tier in tier::available() {
+            tier::with(tier, || {
+                for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
+                    let a = random_matrix(m * k, 100 + si as u64);
+                    let b = random_matrix(k * n, 200 + si as u64);
+                    let mut c_fast = random_matrix(m * n, 300 + si as u64);
+                    let mut c_ref = c_fast.clone();
+                    sgemm(m, k, n, &a, &b, &mut c_fast, 1.0);
+                    sgemm_naive(m, k, n, &a, &b, &mut c_ref, 1.0);
+                    assert_close(&c_fast, &c_ref, 1e-4);
+                }
+            });
         }
     }
 
     #[test]
     fn sgemm_tn_matches_naive_on_random_shapes() {
-        for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
-            let at = random_matrix(k * m, 400 + si as u64); // stored k×m
-            let b = random_matrix(k * n, 500 + si as u64);
-            let mut c_fast = vec![0.0; m * n];
-            let mut c_ref = vec![0.0; m * n];
-            sgemm_tn(m, k, n, &at, &b, &mut c_fast, 0.0);
-            sgemm_tn_naive(m, k, n, &at, &b, &mut c_ref, 0.0);
-            assert_close(&c_fast, &c_ref, 1e-4);
-            // Cross-check against NN on the materialised transpose.
-            let a = transpose(&at, k, m);
-            let mut c_nn = vec![0.0; m * n];
-            sgemm_naive(m, k, n, &a, &b, &mut c_nn, 0.0);
-            assert_close(&c_fast, &c_nn, 1e-4);
+        for tier in tier::available() {
+            tier::with(tier, || {
+                for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
+                    let at = random_matrix(k * m, 400 + si as u64); // stored k×m
+                    let b = random_matrix(k * n, 500 + si as u64);
+                    let mut c_fast = vec![0.0; m * n];
+                    let mut c_ref = vec![0.0; m * n];
+                    sgemm_tn(m, k, n, &at, &b, &mut c_fast, 0.0);
+                    sgemm_tn_naive(m, k, n, &at, &b, &mut c_ref, 0.0);
+                    assert_close(&c_fast, &c_ref, 1e-4);
+                    // Cross-check against NN on the materialised transpose.
+                    let a = transpose(&at, k, m);
+                    let mut c_nn = vec![0.0; m * n];
+                    sgemm_naive(m, k, n, &a, &b, &mut c_nn, 0.0);
+                    assert_close(&c_fast, &c_nn, 1e-4);
+                }
+            });
         }
     }
 
     #[test]
     fn sgemm_nt_matches_naive_on_random_shapes() {
-        for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
-            let a = random_matrix(m * k, 600 + si as u64);
-            let bt = random_matrix(n * k, 700 + si as u64); // stored n×k
-            let mut c_fast = vec![0.0; m * n];
-            let mut c_ref = vec![0.0; m * n];
-            sgemm_nt(m, k, n, &a, &bt, &mut c_fast, 0.0);
-            sgemm_nt_naive(m, k, n, &a, &bt, &mut c_ref, 0.0);
-            assert_close(&c_fast, &c_ref, 1e-4);
-            let b = transpose(&bt, n, k);
-            let mut c_nn = vec![0.0; m * n];
-            sgemm_naive(m, k, n, &a, &b, &mut c_nn, 0.0);
-            assert_close(&c_fast, &c_nn, 1e-4);
+        for tier in tier::available() {
+            tier::with(tier, || {
+                for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
+                    let a = random_matrix(m * k, 600 + si as u64);
+                    let bt = random_matrix(n * k, 700 + si as u64); // stored n×k
+                    let mut c_fast = vec![0.0; m * n];
+                    let mut c_ref = vec![0.0; m * n];
+                    sgemm_nt(m, k, n, &a, &bt, &mut c_fast, 0.0);
+                    sgemm_nt_naive(m, k, n, &a, &bt, &mut c_ref, 0.0);
+                    assert_close(&c_fast, &c_ref, 1e-4);
+                    let b = transpose(&bt, n, k);
+                    let mut c_nn = vec![0.0; m * n];
+                    sgemm_naive(m, k, n, &a, &b, &mut c_nn, 0.0);
+                    assert_close(&c_fast, &c_nn, 1e-4);
+                }
+            });
         }
     }
 
@@ -639,6 +831,32 @@ mod tests {
             let mut c3 = vec![1.0; m * n];
             sgemm(m, k, n, &a, &b, &mut c3, 0.0);
             assert_eq!(c1, c3, "beta=0 must fully overwrite");
+        }
+    }
+
+    /// A row's bits depend on neither `m` nor the loop order it picks:
+    /// every row of a tall (row-tile-major) product equals the same row
+    /// computed alone (column-tile-major), on every tier.
+    #[test]
+    fn rows_are_bit_identical_across_loop_orders() {
+        for tier in tier::available() {
+            tier::with(tier, || {
+                for &(m, k, n) in &[(70usize, 300usize, 40usize), (130, 17, 1024), (65, 600, 75)] {
+                    let a = random_matrix(m * k, 11);
+                    let b = random_matrix(k * n, 12);
+                    let mut c = vec![0.0; m * n];
+                    sgemm(m, k, n, &a, &b, &mut c, 0.0);
+                    for i in 0..m {
+                        let mut row = vec![0.0; n];
+                        sgemm(1, k, n, &a[i * k..(i + 1) * k], &b, &mut row, 0.0);
+                        let same = row
+                            .iter()
+                            .zip(&c[i * n..(i + 1) * n])
+                            .all(|(x, y)| x.to_bits() == y.to_bits());
+                        assert!(same, "{tier:?}: row {i} of {m}x{k}x{n}");
+                    }
+                }
+            });
         }
     }
 

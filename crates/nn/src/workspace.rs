@@ -1,6 +1,6 @@
 //! A reusable buffer arena for allocation-free steady-state inference.
 //!
-//! Layers grab scratch (im2col panels, activation buffers) with
+//! Layers grab scratch (shifted conv planes, activation buffers) with
 //! [`Workspace::take`] and return it with [`Workspace::give`]; after the
 //! first pass through a network every buffer comes from the pool, so a
 //! DDIM sampling loop performs no heap allocation per step.
