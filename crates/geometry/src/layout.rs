@@ -201,48 +201,6 @@ impl Layout {
         (0..self.len()).map(|i| self.bit(i))
     }
 
-    /// Ascending row-major indices `i ≥ step` of the pixels that differ
-    /// from pixel `i − step`: horizontal neighbours for `step = 1`,
-    /// vertical ones for `step = width`. Word-parallel, so the scan-line
-    /// extraction costs one XOR per 64 pixels plus one step per edge.
-    pub(crate) fn edges(&self, step: usize) -> impl Iterator<Item = usize> + '_ {
-        let len = self.len();
-        self.words.iter().enumerate().flat_map(move |(wi, &word)| {
-            let base = wi * 64;
-            let mut diff = word ^ self.window(base as isize - step as isize);
-            // Keep pixels `step ≤ i < len` only.
-            if base < step {
-                diff &= u64::MAX.checked_shl((step - base) as u32).unwrap_or(0);
-            }
-            if base + 64 > len {
-                diff &= (1u64 << (len - base)) - 1;
-            }
-            std::iter::from_fn(move || {
-                (diff != 0).then(|| {
-                    let bit = diff.trailing_zeros() as usize;
-                    diff &= diff - 1;
-                    base + bit
-                })
-            })
-        })
-    }
-
-    /// The 64 pixels from row-major index `start` on as one word
-    /// (pixels outside the clip read as 0).
-    fn window(&self, start: isize) -> u64 {
-        let word = |q: isize| {
-            usize::try_from(q)
-                .ok()
-                .and_then(|q| self.words.get(q))
-                .copied()
-                .unwrap_or(0)
-        };
-        let (q, r) = (start.div_euclid(64), start.rem_euclid(64) as u32);
-        let lo = word(q) >> r;
-        let hi = word(q + 1).checked_shl(64 - r).unwrap_or(0);
-        lo | hi
-    }
-
     /// Extracts the sub-clip `rect ∩ bounds` as a new layout.
     ///
     /// # Panics
@@ -561,12 +519,6 @@ mod tests {
                 let (a, ma) = random_pair(&mut rng, w, h);
                 let (b, mb) = random_pair(&mut rng, w, h);
                 ma.assert_eq(&a, "set/fill/clear");
-                for step in [1, w as usize] {
-                    let want: Vec<usize> = (step..ma.px.len())
-                        .filter(|&i| ma.px[i] != ma.px[i - step])
-                        .collect();
-                    assert_eq!(a.edges(step).collect::<Vec<_>>(), want, "edges({step})");
-                }
                 let or = Model {
                     px: ma.px.iter().zip(&mb.px).map(|(x, y)| x | y).collect(),
                     ..ma.clone()

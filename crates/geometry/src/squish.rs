@@ -25,31 +25,41 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(scan_lines_x(&l), vec![0, 2, 5, 8]);
 /// ```
 pub fn scan_lines_x(layout: &Layout) -> Vec<u32> {
-    let w = layout.width() as usize;
-    let mut edge = vec![false; w];
-    for i in layout.edges(1) {
-        edge[i % w] = true;
+    let mut lines = vec![0u32];
+    for x in 1..layout.width() {
+        let mut edge = false;
+        for y in 0..layout.height() {
+            if layout.get(x - 1, y) != layout.get(x, y) {
+                edge = true;
+                break;
+            }
+        }
+        if edge {
+            lines.push(x);
+        }
     }
-    lines_at(&edge)
+    lines.push(layout.width());
+    lines
 }
 
 /// Returns the y coordinates of horizontal scan lines of `layout`.
 ///
 /// Symmetric to [`scan_lines_x`].
 pub fn scan_lines_y(layout: &Layout) -> Vec<u32> {
-    let w = layout.width() as usize;
-    let mut edge = vec![false; layout.height() as usize];
-    for i in layout.edges(w) {
-        edge[i / w] = true;
-    }
-    lines_at(&edge)
-}
-
-/// `0`, every `c ≥ 1` with `edge[c]`, then `edge.len()`.
-fn lines_at(edge: &[bool]) -> Vec<u32> {
     let mut lines = vec![0u32];
-    lines.extend((1..edge.len()).filter(|&c| edge[c]).map(|c| c as u32));
-    lines.push(edge.len() as u32);
+    for y in 1..layout.height() {
+        let mut edge = false;
+        for x in 0..layout.width() {
+            if layout.get(x, y - 1) != layout.get(x, y) {
+                edge = true;
+                break;
+            }
+        }
+        if edge {
+            lines.push(y);
+        }
+    }
+    lines.push(layout.height());
     lines
 }
 

@@ -1,6 +1,8 @@
 //! 2-D convolution (stride 1, "same" padding) as an implicit GEMM.
 
-use crate::gemm::{gemm_packed, pack_a, packed_a_len, sgemm_naive, sgemm_nt, sgemm_tn, ALayout};
+use crate::gemm::{
+    gemm_blocked, pack_a, packed_a_len, sgemm_naive, sgemm_nt, sgemm_tn, ALayout, APanels,
+};
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -282,7 +284,15 @@ impl Conv2d {
                 self.shifted_planes(x, b, &mut planes);
                 &planes
             };
-            gemm_packed(self.out_c, ick, hw, &packed, b_rows, &self.rows, c);
+            gemm_blocked(
+                self.out_c,
+                ick,
+                hw,
+                APanels::Packed(&packed),
+                b_rows,
+                self.rows.as_slice(),
+                c,
+            );
         }
         ws.give(planes);
         ws.give(packed);
@@ -376,7 +386,8 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{sgemm, tier};
+    use crate::gemm::panel_order_reference;
+    use crate::gemm::tier::{self, Tier};
     use crate::gradcheck::check_layer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -489,26 +500,28 @@ mod tests {
     }
 
     /// The im2col + `sgemm` composition the implicit forward replaced,
-    /// kept as its bit-level reference.
-    fn im2col_sgemm_forward(conv: &Conv2d, x: &Tensor) -> Tensor {
+    /// with the product spelled out by [`panel_order_reference`] so the
+    /// reference shares no GEMM code with the forward.
+    fn im2col_reference_forward(tier: Tier, conv: &Conv2d, x: &Tensor) -> Tensor {
         let hw = x.h() * x.w();
         let ick = conv.in_c * conv.k * conv.k;
         let mut col = vec![0.0; ick * hw];
         let mut out = Tensor::zeros([x.n(), conv.out_c, x.h(), x.w()]);
         for (b, c) in out.data_mut().chunks_exact_mut(conv.out_c * hw).enumerate() {
-            conv.im2col(x, b, &mut col);
-            sgemm(conv.out_c, ick, hw, &conv.weight.value, &col, c, 0.0);
+            conv.im2col_reference(x, b, &mut col);
+            let y = panel_order_reference(tier, conv.out_c, ick, hw, &conv.weight.value, &col);
+            c.copy_from_slice(&y);
         }
         conv.add_bias(out)
     }
 
-    /// The implicit-GEMM forward must reproduce im2col + `sgemm` bit for
-    /// bit on every ISA tier this CPU has: ragged widths (hw < 16),
+    /// The implicit-GEMM forward must reproduce im2col + GEMM bit for bit
+    /// on every ISA tier this CPU has: ragged widths (hw < 16),
     /// hw % 32 == 16 and full 32-column tiles, every kernel size, row
     /// counts on and off the 6-row micro-tile, several k-panels
     /// (in_c·k² > 256) and batches.
     #[test]
-    fn implicit_forward_matches_im2col_sgemm_bitwise() {
+    fn implicit_forward_matches_im2col_reference_bitwise() {
         let sides = [(2usize, 2usize), (4, 4), (4, 6), (8, 8), (32, 32)];
         let outs = [1usize, 5, 6, 7, 16, 64];
         let batches = [1usize, 3, 16];
@@ -532,7 +545,7 @@ mod tests {
                                 *v = rng.gen_range(-1.0f32..1.0);
                             }
                             let x = random_tensor([batch, in_c, h, w], case + 1000);
-                            let want = im2col_sgemm_forward(&conv, &x);
+                            let want = im2col_reference_forward(tier, &conv, &x);
                             // Scratch arrives dirty from the pool: every
                             // element the forward reads it must write.
                             let mut ws = Workspace::new();
@@ -556,6 +569,44 @@ mod tests {
                     }
                 }
             });
+        }
+    }
+
+    /// Pins the forward's output bits to those of the im2col + `sgemm`
+    /// forward it replaced (digests recorded from that implementation):
+    /// one digest for the fma tiers (AVX2 and AVX-512 agree), one for the
+    /// portable kernels.
+    #[test]
+    fn forward_output_digest_is_pinned() {
+        for tier in tier::available() {
+            let digest = tier::with(tier, || {
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for &(in_c, out_c, k, side_h, side_w, batch, seed) in &[
+                    (29usize, 7usize, 3usize, 8usize, 8usize, 3usize, 1u64),
+                    (16, 16, 3, 32, 32, 2, 2),
+                    (5, 6, 5, 4, 6, 1, 3),
+                    (48, 16, 1, 16, 16, 2, 4),
+                ] {
+                    let mut conv = Conv2d::new(in_c, out_c, k, seed);
+                    let len = batch * in_c * side_h * side_w;
+                    let x = Tensor::from_vec(
+                        [batch, in_c, side_h, side_w],
+                        (0..len)
+                            .map(|i| (i * 7919 % 1000) as f32 / 500.0 - 1.0)
+                            .collect(),
+                    );
+                    let y = conv.forward_infer(&x, &mut Workspace::new());
+                    for v in y.data() {
+                        h = (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+                h
+            });
+            let want = match tier {
+                Tier::Portable => 0x171a_bcd1_d22a_91fd,
+                Tier::Avx2 | Tier::Avx512 => 0x6503_bdba_158e_d190,
+            };
+            assert_eq!(digest, want, "{tier:?}: forward output changed");
         }
     }
 

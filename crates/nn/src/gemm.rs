@@ -12,14 +12,15 @@
 //!
 //! All public operands are dense row-major `f32` slices. `sgemm`,
 //! `sgemm_tn` and the convolution forward share one blocked driver. It
-//! reads A from micro-panels packed once per call, and finds each row of
-//! B through a row-offset function: `p·n` for a dense `k×n` B, an
-//! offset into shifted input planes for the convolution, which never
-//! builds its im2col matrix. The driver tiles the k-dimension into
-//! L1/L2-sized panels (`KC`) and accumulates register micro-tiles:
-//! `6×32` with AVX-512F, `6×16` with AVX2+FMA (both runtime-detected),
-//! else portable local arrays the compiler vectorises; the portable
-//! kernel also covers the ragged right edge. The reduction order over
+//! reads A from `MR`-row micro-panels, packed one at a time just before
+//! use for a dense product or once per call for a convolution's
+//! weights, and finds each row of B through a row-offset function: `p·n`
+//! for a dense `k×n` B, an offset into shifted input planes for the
+//! convolution, which never builds its im2col matrix. The driver tiles
+//! the k-dimension into L1/L2-sized panels (`KC`) and accumulates
+//! register micro-tiles: `6×32` with AVX-512F, `6×16` with AVX2+FMA
+//! (both runtime-detected), else portable local arrays the compiler
+//! vectorises; the portable kernel also covers the ragged right edge. The reduction order over
 //! `k` for an output element is a pure function of the call shape
 //! `(m, k, n)` and the element's position, whatever the B addressing,
 //! so equal-shaped calls on equal data are bit-identical — the property
@@ -49,7 +50,6 @@
 // obscure the kernel shape.
 #![allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Rows per register micro-tile (6×16 f32 = 12 ymm accumulators).
@@ -182,7 +182,7 @@ pub(crate) fn packed_a_len(m: usize, k: usize) -> usize {
     m.div_ceil(MR) * MR * k
 }
 
-/// Packs `op(A)` (`m×k`) into the micro-panels [`gemm_packed`] reads:
+/// Packs `op(A)` (`m×k`) into the micro-panels [`gemm_blocked`] reads:
 /// per `KC` panel and `MR`-row tile one contiguous `[kc][MR]` block
 /// (rows past `m` zero), the block for panel `p0`, tile `i0` starting at
 /// `p0·m̄ + i0·kc` with `m̄` = `m` rounded up to `MR`.
@@ -192,29 +192,83 @@ pub(crate) fn pack_a(m: usize, k: usize, a: &[f32], lay: ALayout, ap: &mut [f32]
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
         for i0 in (0..m).step_by(MR) {
-            let mr = MR.min(m - i0);
-            let panel = &mut ap[p0 * mpad + i0 * kc..][..kc * MR];
-            for p in 0..kc {
-                for r in 0..MR {
-                    panel[p * MR + r] = if r < mr {
-                        lay.at(a, i0 + r, p0 + p, m, k)
-                    } else {
-                        0.0
-                    };
-                }
-            }
+            pack_panel(m, k, a, lay, p0, kc, i0, &mut ap[p0 * mpad + i0 * kc..]);
         }
     }
 }
 
+/// Writes the `[kc][MR]` micro-panel of `op(A)` for rows `i0..i0+MR`
+/// (zero past `m`) and columns `p0..p0+kc` to the front of `out`.
+fn pack_panel(
+    m: usize,
+    k: usize,
+    a: &[f32],
+    lay: ALayout,
+    p0: usize,
+    kc: usize,
+    i0: usize,
+    out: &mut [f32],
+) {
+    let mr = MR.min(m - i0);
+    for (p, row) in out[..kc * MR].chunks_exact_mut(MR).enumerate() {
+        for (r, v) in row.iter_mut().enumerate() {
+            *v = if r < mr {
+                lay.at(a, i0 + r, p0 + p, m, k)
+            } else {
+                0.0
+            };
+        }
+    }
+}
+
+/// Where [`gemm_blocked`] gets the micro-panels of `op(A)` (`m×k`).
+#[derive(Clone, Copy)]
+pub(crate) enum APanels<'a> {
+    /// Packed up front by [`pack_a`] (reused across calls, e.g. a
+    /// conv's weights across a batch).
+    Packed(&'a [f32]),
+    /// `A` as stored, each micro-panel packed just before its use.
+    Unpacked(&'a [f32], ALayout),
+}
+
+/// Where the rows of B start: row `p` of B is the `n` elements from
+/// `b[offset]` on.
+///
+/// `panel(p0, kc)` must yield exactly entries `p0..p0 + kc` of
+/// `panel(0, k)`: [`gemm_blocked`] bounds-checks the latter once, and its
+/// unsafe kernels rely on that check for every panel.
+pub(crate) trait BRows: Copy {
+    /// The offsets of rows `p0..p0 + kc`, in order.
+    fn panel(self, p0: usize, kc: usize) -> impl Iterator<Item = usize> + Clone;
+}
+
+/// A dense row-major B: row `p` at `p·stride`.
+#[derive(Clone, Copy)]
+pub(crate) struct Strided(pub(crate) usize);
+
+impl BRows for Strided {
+    #[inline(always)]
+    fn panel(self, p0: usize, kc: usize) -> impl Iterator<Item = usize> + Clone {
+        (p0..p0 + kc).map(move |p| p * self.0)
+    }
+}
+
+/// An offset per row (the convolution forward's shifted planes).
+impl BRows for &[usize] {
+    #[inline(always)]
+    fn panel(self, p0: usize, kc: usize) -> impl Iterator<Item = usize> + Clone {
+        self[p0..p0 + kc].iter().copied()
+    }
+}
+
 /// Portable `MR×nr` micro-kernel: accumulates a register tile over one
-/// packed A panel (`ap`, `[kc][MR]`) against the B rows starting at
-/// `b[rows[p]]` (`kc = rows.len()`), and adds it into `C`.
+/// packed A panel (`ap`, `[kc][MR]`) against the B rows starting at the
+/// offsets `rows` yields (`kc` of them), and adds it into `C`.
 #[inline]
 fn kernel_tile(
     ap: &[f32],
     b: &[f32],
-    rows: &[usize],
+    rows: impl Iterator<Item = usize>,
     j0: usize,
     nr: usize,
     c: &mut [f32],
@@ -223,7 +277,7 @@ fn kernel_tile(
     mr: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (&row, apk) in rows.iter().zip(ap.chunks_exact(MR)) {
+    for (row, apk) in rows.zip(ap.chunks_exact(MR)) {
         let brow = &b[row + j0..row + j0 + nr];
         for r in 0..MR {
             let av = apk[r];
@@ -245,16 +299,16 @@ fn kernel_tile(
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2+FMA are available, that `ap` holds
-/// `rows.len()·MR` elements, that every B row `b[rows[p] + j0..]` holds
-/// 16 elements, and that rows `i0..i0+mr` of C (width `n ≥ j0 + 16`) lie
-/// within `c`; debug asserts re-check all three.
+/// Caller must ensure AVX2+FMA are available, that `ap` holds `MR`
+/// elements per row `rows` yields, that every B row `b[row + j0..]`
+/// holds 16 elements, and that rows `i0..i0+mr` of C (width
+/// `n ≥ j0 + 16`) lie within `c`; debug asserts re-check all three.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn kernel_tile_avx(
     ap: &[f32],
     b: &[f32],
-    rows: &[usize],
+    rows: impl Iterator<Item = usize> + Clone,
     j0: usize,
     c: &mut [f32],
     n: usize,
@@ -262,8 +316,8 @@ unsafe fn kernel_tile_avx(
     mr: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= rows.len() * MR);
-    debug_assert!(rows.iter().all(|&row| row + j0 + NR <= b.len()));
+    debug_assert!(ap.len() >= rows.clone().count() * MR);
+    debug_assert!(rows.clone().all(|row| row + j0 + NR <= b.len()));
     debug_assert!((i0 + mr - 1) * n + j0 + NR <= c.len());
     // SAFETY: the caller upholds this fn's `# Safety` contract (AVX2+FMA
     // present, A/B/C index ranges in bounds, re-checked by the
@@ -272,7 +326,7 @@ unsafe fn kernel_tile_avx(
         let mut acc = [[_mm256_setzero_ps(); 2]; MR];
         let bp = b.as_ptr();
         let app = ap.as_ptr();
-        for (p, &row) in rows.iter().enumerate() {
+        for (p, row) in rows.enumerate() {
             let brow = bp.add(row + j0);
             let b0 = _mm256_loadu_ps(brow);
             let b1 = _mm256_loadu_ps(brow.add(8));
@@ -300,16 +354,16 @@ unsafe fn kernel_tile_avx(
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX-512F is available, that `ap` holds
-/// `rows.len()·MR` elements, that every B row `b[rows[p] + j0..]` holds
-/// 32 elements, and that rows `i0..i0+mr` of C (width `n ≥ j0 + 32`) lie
-/// within `c`; debug asserts re-check all three.
+/// Caller must ensure AVX-512F is available, that `ap` holds `MR`
+/// elements per row `rows` yields, that every B row `b[row + j0..]`
+/// holds 32 elements, and that rows `i0..i0+mr` of C (width
+/// `n ≥ j0 + 32`) lie within `c`; debug asserts re-check all three.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn kernel_tile_avx512(
     ap: &[f32],
     b: &[f32],
-    rows: &[usize],
+    rows: impl Iterator<Item = usize> + Clone,
     j0: usize,
     c: &mut [f32],
     n: usize,
@@ -317,8 +371,8 @@ unsafe fn kernel_tile_avx512(
     mr: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= rows.len() * MR);
-    debug_assert!(rows.iter().all(|&row| row + j0 + 32 <= b.len()));
+    debug_assert!(ap.len() >= rows.clone().count() * MR);
+    debug_assert!(rows.clone().all(|row| row + j0 + 32 <= b.len()));
     debug_assert!((i0 + mr - 1) * n + j0 + 32 <= c.len());
     // SAFETY: the caller upholds this fn's `# Safety` contract (AVX-512F
     // present, A/B/C index ranges in bounds, re-checked by the
@@ -327,7 +381,7 @@ unsafe fn kernel_tile_avx512(
         let mut acc = [[_mm512_setzero_ps(); 2]; MR];
         let bp = b.as_ptr();
         let app = ap.as_ptr();
-        for (p, &row) in rows.iter().enumerate() {
+        for (p, row) in rows.enumerate() {
             let brow = bp.add(row + j0);
             let b0 = _mm512_loadu_ps(brow);
             let b1 = _mm512_loadu_ps(brow.add(16));
@@ -350,86 +404,74 @@ unsafe fn kernel_tile_avx512(
     }
 }
 
-/// Row counts up to which [`gemm_packed`] walks column tiles outermost.
-const COLUMN_MAJOR_MAX_M: usize = 64;
-
-/// `C += op(A)·B` with `op(A)` (`m×k`) packed by [`pack_a`] into `ap`,
-/// and row `p` of B the `n` elements starting at `b[rows[p]]`.
+/// `C += op(A)·B` with the micro-panels of `op(A)` (`m×k`) from `a`,
+/// and the rows of B located by `rows`.
 ///
-/// A dense row-major `k×n` B has `rows[p] = p·n`; the convolution
-/// forward passes offsets into its shifted input planes instead. For a
-/// short A (`m ≤ 64`, e.g. a conv's weights) column tiles are walked
-/// outermost, so one B tile stays in L1 while every row tile passes
-/// over it; for a tall A, row tiles are, so each A micro-panel stays in
-/// L1 while C is streamed row by row. Either way each C element
-/// accumulates one fma (portable: mul-add) chain per `KC` panel
-/// starting from zero and adds the panels into C in panel order, so its
-/// bits depend only on its operands, `k`, and its column's tile (a
-/// function of `n`, the column and the ISA tier) — never on how B is
-/// addressed or on the loop order.
+/// A dense row-major `k×n` B is [`Strided`]`(n)`; the convolution
+/// forward passes offsets into its shifted input planes instead. Per
+/// `KC` panel and `MR`-row tile, the A micro-panel stays in L1 while the
+/// kernels sweep the panel's B rows left to right. Each C element
+/// accumulates one fma (portable: mul-add) chain per `KC` panel starting
+/// from zero and adds the panels into C in panel order, so its bits
+/// depend only on its operands, `k`, and its column's tile (a function
+/// of `n`, the column and the ISA tier) — never on how B is addressed.
 ///
 /// # Panics
 ///
-/// Panics if `ap`, `rows` or `c` is too short for the shape, or some B
-/// row runs past the end of `b`.
-pub(crate) fn gemm_packed(
+/// Panics if `a` or `c` is too short for the shape, or some B row runs
+/// past the end of `b`.
+pub(crate) fn gemm_blocked(
     m: usize,
     k: usize,
     n: usize,
-    ap: &[f32],
+    a: APanels,
     b: &[f32],
-    rows: &[usize],
+    rows: impl BRows,
     c: &mut [f32],
 ) {
-    assert!(ap.len() >= packed_a_len(m, k), "packed A too short");
+    match a {
+        APanels::Packed(ap) => assert!(ap.len() >= packed_a_len(m, k), "packed A too short"),
+        APanels::Unpacked(a, _) => assert_eq!(a.len(), m * k, "A must hold m·k elements"),
+    }
     assert!(c.len() >= m * n, "C must hold m×n");
-    let rows = &rows[..k];
     assert!(
-        rows.iter().all(|&row| row + n <= b.len()),
+        rows.panel(0, k).all(|row| row + n <= b.len()),
         "B row out of bounds"
     );
     let isa = Isa::current();
     let mpad = m.div_ceil(MR) * MR;
-    // One micro-tile: A micro-panel `a` (rows `i0..i0+mr`) against the
-    // B rows `panel`, at columns `j0..`; returns the tile's width.
-    let tile = |a: &[f32], panel: &[usize], i0: usize, mr: usize, j0: usize, c: &mut [f32]| {
-        let (kind, width) = isa.tile(n - j0);
-        match kind {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::current` reported AVX-512F; the asserts
-            // above keep every B row's `n ≥ j0 + 32` columns and C's
-            // rows `i0..i0+mr` in bounds.
-            Tile::Avx512 => unsafe { kernel_tile_avx512(a, b, panel, j0, c, n, i0, mr) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::current` reported AVX2+FMA; the asserts
-            // above keep every B row's `n ≥ j0 + 16` columns and C's
-            // rows `i0..i0+mr` in bounds.
-            Tile::Avx2 => unsafe { kernel_tile_avx(a, b, panel, j0, c, n, i0, mr) },
-            _ => kernel_tile(a, b, panel, j0, width, c, n, i0, mr),
-        }
-        width
-    };
-    let panels = (0..k).step_by(KC).map(|p0| (p0, &rows[p0..k.min(p0 + KC)]));
-    let a_tile = |p0: usize, kc: usize, i0: usize| &ap[p0 * mpad + i0 * kc..][..kc * MR];
-    if m <= COLUMN_MAJOR_MAX_M {
-        let mut j0 = 0;
-        while j0 < n {
-            for (p0, panel) in panels.clone() {
-                for i0 in (0..m).step_by(MR) {
-                    let a = a_tile(p0, panel.len(), i0);
-                    tile(a, panel, i0, MR.min(m - i0), j0, c);
+    let mut buf = [0.0f32; MR * KC];
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        for i0 in (0..m).step_by(MR) {
+            let a = match a {
+                APanels::Packed(ap) => &ap[p0 * mpad + i0 * kc..][..kc * MR],
+                APanels::Unpacked(a, lay) => {
+                    pack_panel(m, k, a, lay, p0, kc, i0, &mut buf);
+                    &buf[..kc * MR]
                 }
-            }
-            j0 += isa.tile(n - j0).1;
-        }
-    } else {
-        for (p0, panel) in panels {
-            for i0 in (0..m).step_by(MR) {
-                let (a, mr) = (a_tile(p0, panel.len(), i0), MR.min(m - i0));
-                let mut j0 = 0;
-                while j0 < n {
-                    j0 += tile(a, panel, i0, mr, j0, c);
+            };
+            let mr = MR.min(m - i0);
+            let mut j0 = 0;
+            while j0 < n {
+                let (kind, width) = isa.tile(n - j0);
+                let panel = rows.panel(p0, kc);
+                match kind {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `Isa::current` reported AVX-512F; the
+                    // asserts above (which cover `panel`, by the
+                    // `BRows` contract) keep every B row's `n ≥ j0 + 32`
+                    // columns and C's rows `i0..i0+mr` in bounds.
+                    Tile::Avx512 => unsafe { kernel_tile_avx512(a, b, panel, j0, c, n, i0, mr) },
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `Isa::current` reported AVX2+FMA; the
+                    // asserts above (which cover `panel`, by the
+                    // `BRows` contract) keep every B row's `n ≥ j0 + 16`
+                    // columns and C's rows `i0..i0+mr` in bounds.
+                    Tile::Avx2 => unsafe { kernel_tile_avx(a, b, panel, j0, c, n, i0, mr) },
+                    _ => kernel_tile(a, b, panel, j0, width, c, n, i0, mr),
                 }
+                j0 += width;
             }
         }
     }
@@ -448,18 +490,8 @@ fn gemm_nx(
 ) {
     debug_assert_eq!(b.len(), k * n, "B must be k×n");
     debug_assert_eq!(c.len(), m * n, "C must be m×n");
-    thread_local! {
-        /// Packed-A scratch reused across calls on this thread, so a
-        /// large A does not cost a fresh (page-faulting) allocation.
-        static PACKED_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    }
     scale_c(c, beta);
-    let rows: Vec<usize> = (0..k).map(|p| p * n).collect();
-    PACKED_A.with_borrow_mut(|ap| {
-        ap.resize(packed_a_len(m, k), 0.0);
-        pack_a(m, k, a, lay, ap);
-        gemm_packed(m, k, n, ap, b, &rows, c);
-    });
+    gemm_blocked(m, k, n, APanels::Unpacked(a, lay), b, Strided(n), c);
 }
 
 /// `C = A·B + β·C` (`A: m×k`, `B: k×n`, `C: m×n`, all row-major).
@@ -698,6 +730,47 @@ pub(crate) mod tier {
     }
 }
 
+/// The arithmetic of every blocked product on tier `tier`, one element
+/// at a time, as a bit-level test reference that shares no code with the
+/// driver: `C = A·B` (`A: m×k`, `B: k×n`) where each element sums one
+/// chain per `KC` panel, starting from zero, into C in panel order. The
+/// chain is fused multiply-adds in the SIMD column tiles (every column
+/// but the last `n % 16` on an AVX2 or AVX-512 tier) and separate
+/// multiplies and adds in the portable ones.
+#[cfg(test)]
+pub(crate) fn panel_order_reference(
+    tier: tier::Tier,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+) -> Vec<f32> {
+    let simd_cols = if tier == tier::Tier::Portable {
+        0
+    } else {
+        n - n % NR
+    };
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for p0 in (0..k).step_by(KC) {
+                let mut acc = 0.0f32;
+                for p in p0..k.min(p0 + KC) {
+                    let (av, bv) = (a[i * k + p], b[p * n + j]);
+                    acc = if j < simd_cols {
+                        av.mul_add(bv, acc)
+                    } else {
+                        acc + av * bv
+                    };
+                }
+                c[i * n + j] += acc;
+            }
+        }
+    }
+    c
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,26 +907,27 @@ mod tests {
         }
     }
 
-    /// A row's bits depend on neither `m` nor the loop order it picks:
-    /// every row of a tall (row-tile-major) product equals the same row
-    /// computed alone (column-tile-major), on every tier.
+    /// `sgemm` and `sgemm_tn` reproduce the panel-order reference bit
+    /// for bit on every tier, whichever layout A arrives in.
     #[test]
-    fn rows_are_bit_identical_across_loop_orders() {
+    fn sgemm_matches_panel_order_reference_bitwise() {
+        let shapes = [(70usize, 300usize, 40usize), (13, 17, 1024), (6, 600, 75)];
         for tier in tier::available() {
             tier::with(tier, || {
-                for &(m, k, n) in &[(70usize, 300usize, 40usize), (130, 17, 1024), (65, 600, 75)] {
-                    let a = random_matrix(m * k, 11);
-                    let b = random_matrix(k * n, 12);
-                    let mut c = vec![0.0; m * n];
-                    sgemm(m, k, n, &a, &b, &mut c, 0.0);
-                    for i in 0..m {
-                        let mut row = vec![0.0; n];
-                        sgemm(1, k, n, &a[i * k..(i + 1) * k], &b, &mut row, 0.0);
-                        let same = row
+                for (si, &(m, k, n)) in SHAPES.iter().chain(&shapes).enumerate() {
+                    let a = random_matrix(m * k, 11 + si as u64);
+                    let b = random_matrix(k * n, 12 + si as u64);
+                    let want = panel_order_reference(tier, m, k, n, &a, &b);
+                    let mut nn = vec![f32::NAN; m * n];
+                    sgemm(m, k, n, &a, &b, &mut nn, 0.0);
+                    let mut tn = vec![f32::NAN; m * n];
+                    sgemm_tn(m, k, n, &transpose(&a, m, k), &b, &mut tn, 0.0);
+                    for (what, got) in [("sgemm", nn), ("sgemm_tn", tn)] {
+                        let same = got
                             .iter()
-                            .zip(&c[i * n..(i + 1) * n])
+                            .zip(&want)
                             .all(|(x, y)| x.to_bits() == y.to_bits());
-                        assert!(same, "{tier:?}: row {i} of {m}x{k}x{n}");
+                        assert!(same, "{tier:?}: {what} {m}x{k}x{n}");
                     }
                 }
             });
