@@ -27,6 +27,7 @@ use allow::AllowList;
 use model::SourceFile;
 use report::Analysis;
 use rules::Config;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Analyzes the workspace rooted at `root` with the default [`Config`]
@@ -52,10 +53,17 @@ pub fn analyze_sources(sources: &[(&str, &str)], cfg: &Config, allow: &AllowList
 fn analyze_files(files: Vec<SourceFile>, cfg: &Config, allow: &AllowList) -> Analysis {
     let raw = rules::run_rules(&files, cfg);
     let (findings, waived, stale) = allow.apply(raw);
+    let mut non_test_lines: BTreeMap<String, usize> = BTreeMap::new();
+    for f in &files {
+        *non_test_lines
+            .entry(workspace::package_of(&f.path).to_string())
+            .or_default() += f.non_test_lines();
+    }
     Analysis {
         findings,
         waived,
         stale,
         files_scanned: files.len(),
+        non_test_lines: non_test_lines.into_iter().collect(),
     }
 }

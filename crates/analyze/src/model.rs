@@ -119,6 +119,12 @@ impl SourceFile {
             .unwrap_or(false)
     }
 
+    /// Lines outside test code ([`SourceFile::is_test_line`] false) —
+    /// blank and comment lines included, like a plain line count.
+    pub(crate) fn non_test_lines(&self) -> usize {
+        self.test_lines.iter().filter(|&&t| !t).count()
+    }
+
     /// The raw text of 1-based `line` (empty beyond EOF).
     pub fn snippet(&self, line: u32) -> &str {
         self.lines
@@ -274,12 +280,14 @@ mod tests {
         assert!(f.is_test_line(5));
         assert!(f.is_test_line(6));
         assert!(!f.is_test_line(7));
+        assert_eq!(f.non_test_lines(), 3);
     }
 
     #[test]
     fn tests_directory_files_are_all_test() {
         let f = SourceFile::new("tests/integration.rs", "fn x() {}\n");
         assert!(f.is_test_line(1));
+        assert_eq!(f.non_test_lines(), 0);
     }
 
     #[test]

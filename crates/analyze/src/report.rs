@@ -31,6 +31,10 @@ pub struct Analysis {
     pub stale: Vec<Waiver>,
     /// How many files were scanned.
     pub files_scanned: usize,
+    /// Lines outside test code per package (`crates/<name>`, or `.`
+    /// for the root package), sorted by package: the size measure the
+    /// ROADMAP tracks from change to change.
+    pub non_test_lines: Vec<(String, usize)>,
 }
 
 impl Analysis {
@@ -61,6 +65,10 @@ impl Analysis {
             self.waived.len(),
             self.stale.len()
         ));
+        out.push_str("pp-analyze: non-test lines per crate\n");
+        for (package, lines) in &self.non_test_lines {
+            out.push_str(&format!("  {package:<20} {lines:>6}\n"));
+        }
         out
     }
 
@@ -100,7 +108,13 @@ impl Analysis {
                 if i + 1 < self.stale.len() { "," } else { "" }
             ));
         }
-        out.push_str("  ]\n}\n");
+        out.push_str("  ],\n");
+        out.push_str("  \"non_test_lines\": {");
+        for (i, (package, lines)) in self.non_test_lines.iter().enumerate() {
+            let sep = if i == 0 { "\n" } else { ",\n" };
+            out.push_str(&format!("{sep}    {}: {lines}", json_str(package)));
+        }
+        out.push_str("\n  }\n}\n");
         out
     }
 }
@@ -140,6 +154,7 @@ mod tests {
             waived: vec![],
             stale: vec![],
             files_scanned: 1,
+            non_test_lines: vec![],
         };
         assert!(a.is_clean());
     }

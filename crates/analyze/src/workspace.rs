@@ -59,6 +59,16 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
+/// The package a repo-relative path belongs to: `crates/<name>` for
+/// files under a crate directory, `.` for the root package (`src/`,
+/// `tests/`, `examples/`).
+pub(crate) fn package_of(path: &str) -> &str {
+    match path.strip_prefix("crates/").and_then(|rest| rest.find('/')) {
+        Some(end) => &path[.."crates/".len() + end],
+        None => ".",
+    }
+}
+
 /// `root`-relative path with `/` separators.
 fn rel_path(root: &Path, p: &Path) -> String {
     let rel = p.strip_prefix(root).unwrap_or(p);

@@ -518,4 +518,42 @@ mod waiver_mechanics {
         assert!(json.contains("\"waived\": true"), "{json}");
         assert!(json.contains("\"waived\": false"), "{json}");
     }
+
+    /// Both reports end with per-package non-test line counts: lines in
+    /// `#[cfg(test)]` items and under `tests/` directories do not count.
+    #[test]
+    fn reports_end_with_non_test_lines_per_crate() {
+        let lib = "fn live() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let a = run(&[
+            ("crates/alpha/src/lib.rs", lib),
+            ("crates/alpha/src/extra.rs", "fn a() {}\nfn b() {}\n"),
+            ("crates/alpha/tests/it.rs", "fn c() {}\n"),
+            ("crates/beta/src/lib.rs", "fn d() {}\n"),
+            ("src/lib.rs", "fn e() {}\n"),
+            ("tests/root.rs", "fn f() {}\n"),
+        ]);
+        assert_eq!(
+            a.non_test_lines,
+            [
+                (".".to_string(), 1),
+                ("crates/alpha".to_string(), 4),
+                ("crates/beta".to_string(), 1),
+            ]
+        );
+        let text = a.render_text();
+        let tail = &text[text
+            .find("non-test lines per crate")
+            .expect("count section")..];
+        assert!(
+            tail.contains("crates/alpha") && tail.ends_with("1\n"),
+            "{text}"
+        );
+        let json = a.render_json();
+        assert!(
+            json.ends_with(
+                "\"non_test_lines\": {\n    \".\": 1,\n    \"crates/alpha\": 4,\n    \"crates/beta\": 1\n  }\n}\n"
+            ),
+            "{json}"
+        );
+    }
 }

@@ -42,7 +42,7 @@
 //! [`GenerationRequest`] into an iterator of raw samples backed by the
 //! model's batched workers through bounded channels, with a
 //! [`ProgressHook`] per micro-batch and a cooperative [`CancelToken`]
-//! checked between micro-batches. The round-level entry points are
+//! checked at every DDIM step. The round-level entry points are
 //! consumers of this stream, so blocking and streaming callers see
 //! bit-identical results.
 //!

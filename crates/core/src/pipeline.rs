@@ -297,7 +297,7 @@ impl PatternPaint {
     ///
     /// The stream is fed by the model's batched sampling workers
     /// through bounded channels; `opts` wires in a progress hook, a
-    /// cancellation token (checked between micro-batches — cancelling
+    /// cancellation token (checked at every DDIM step — cancelling
     /// ends the stream early with the samples already finished), and a
     /// backpressure bound. The round-level entry points
     /// ([`PatternPaint::initial_generation`],

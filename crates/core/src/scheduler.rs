@@ -26,12 +26,11 @@
 //! **Which** submissions fill free slots first is a [`SchedPolicy`]
 //! decision, pluggable at build time
 //! ([`crate::Engine::scheduler_with`]): the policy *ranks* the queue
-//! ([`SchedPolicy::rank`], most-preferred first) and the dispatcher
-//! walks the ranking, admitting up to each submission's micro-batch
-//! width. Existing policies that only implement the legacy
-//! [`SchedPolicy::pick`] keep working through a built-in shim (rank =
-//! repeated pick), so custom policies from the QoS redesign need no
-//! change.
+//! ([`SchedPolicy::rank`], most-preferred first, its only decision
+//! hook) and the dispatcher walks the ranking, admitting up to each
+//! submission's micro-batch width. A malformed ranking is repaired
+//! before use, so a buggy policy can skew fairness but never stall or
+//! skip a submission.
 //!
 //! * [`RoundRobin`] (default) — strict rotation, every submission gets
 //!   an equal share; admission order matches the pre-slot scheduler's
@@ -129,8 +128,8 @@ use std::time::{Duration, Instant};
 // Scheduling policies
 // ---------------------------------------------------------------------
 
-/// What a [`SchedPolicy`] sees of one queued submission when picking
-/// the next micro-batch.
+/// What a [`SchedPolicy`] sees of one queued submission when ranking
+/// the queue.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedView {
     /// The submission's QoS class.
@@ -164,47 +163,20 @@ pub struct SchedView {
 /// submissions then move to the back of the queue (which is what makes
 /// [`RoundRobin`]'s identity ranking a strict rotation).
 ///
-/// Pre-continuous-batching policies only implemented
-/// [`SchedPolicy::pick`] (choose one index). They still work unchanged:
-/// the default [`SchedPolicy::rank`] builds a full ranking by calling
-/// `pick` repeatedly on the shrinking remainder of the queue, which
-/// reproduces the old "pick, dispatch, re-pick" dispatch order exactly.
-/// Override `rank` directly to order the whole queue in one call.
-///
 /// Implementations must be deterministic in the queue contents: tests
 /// replay schedules and assert bit-identical libraries.
 pub trait SchedPolicy: Send {
     /// A short name for stats and reports.
     fn name(&self) -> &str;
 
-    /// Index into `queue` (non-empty) of the most-preferred
-    /// submission. Legacy single-pick interface; the dispatcher only
-    /// calls [`SchedPolicy::rank`].
-    fn pick(&mut self, queue: &[SchedView]) -> usize;
-
-    /// Queue indices in admission order, most-preferred first. Free
-    /// slots are offered to `queue[rank[0]]` first, then `rank[1]`,
-    /// and so on.
+    /// Indices into `queue` (never empty) in admission order,
+    /// most-preferred first. Free slots are offered to
+    /// `queue[rank[0]]` first, then `rank[1]`, and so on.
     ///
-    /// The default implementation ranks by repeated [`pick`] over the
-    /// shrinking remainder (with out-of-range picks clamped), so a
-    /// `pick`-only policy behaves exactly as it did under fixed
-    /// micro-batch dispatch. The dispatcher tolerates sloppy output —
-    /// out-of-range and duplicate indices are dropped, missing ones
-    /// appended in queue order — a malformed ranking is a fairness
-    /// bug, never a stall.
-    ///
-    /// [`pick`]: SchedPolicy::pick
-    fn rank(&mut self, queue: &[SchedView]) -> Vec<usize> {
-        let mut remaining: Vec<usize> = (0..queue.len()).collect();
-        let mut order = Vec::with_capacity(queue.len());
-        while !remaining.is_empty() {
-            let views: Vec<SchedView> = remaining.iter().map(|&i| queue[i]).collect();
-            let p = self.pick(&views).min(remaining.len() - 1);
-            order.push(remaining.remove(p));
-        }
-        order
-    }
+    /// The dispatcher tolerates sloppy output — out-of-range and
+    /// duplicate indices are dropped, missing ones appended in queue
+    /// order — a malformed ranking is a fairness bug, never a stall.
+    fn rank(&mut self, queue: &[SchedView]) -> Vec<usize>;
 }
 
 /// Strict rotation: every active submission gets an equal micro-batch
@@ -216,10 +188,6 @@ pub struct RoundRobin;
 impl SchedPolicy for RoundRobin {
     fn name(&self) -> &str {
         "round-robin"
-    }
-
-    fn pick(&mut self, _queue: &[SchedView]) -> usize {
-        0
     }
 
     fn rank(&mut self, queue: &[SchedView]) -> Vec<usize> {
@@ -259,20 +227,9 @@ impl SchedPolicy for WeightedFair {
         "weighted-fair"
     }
 
-    fn pick(&mut self, queue: &[SchedView]) -> usize {
-        let mut best = 0;
-        for (i, view) in queue.iter().enumerate().skip(1) {
-            if stride_key(view) < stride_key(&queue[best]) {
-                best = i;
-            }
-        }
-        best
-    }
-
     fn rank(&mut self, queue: &[SchedView]) -> Vec<usize> {
-        // Stable sort by (pass, stride) == repeated min-extraction
-        // with ties toward the heavier class then the oldest:
-        // identical to the pick shim, in one pass.
+        // Stable sort by (pass, stride): ties go toward the heavier
+        // class, then the oldest submission.
         let mut order: Vec<usize> = (0..queue.len()).collect();
         order.sort_by_key(|&i| stride_key(&queue[i]));
         order
@@ -292,25 +249,9 @@ impl SchedPolicy for DeadlineFirst {
         "deadline-first"
     }
 
-    fn pick(&mut self, queue: &[SchedView]) -> usize {
-        let mut best: Option<(Instant, usize)> = None;
-        for (i, view) in queue.iter().enumerate() {
-            if let Some(d) = view.deadline {
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, i));
-                }
-            }
-        }
-        match best {
-            Some((_, i)) => i,
-            None => WeightedFair.pick(queue),
-        }
-    }
-
     fn rank(&mut self, queue: &[SchedView]) -> Vec<usize> {
         // Deadline holders first (earliest first, ties oldest — the
-        // stable sort), then the rest in weighted-fair order: exactly
-        // what repeated `pick` extraction produces.
+        // stable sort), then the rest in weighted-fair order.
         let mut dated: Vec<usize> = (0..queue.len())
             .filter(|&i| queue[i].deadline.is_some())
             .collect();
@@ -1431,7 +1372,7 @@ fn worker_loop(shared: &Arc<Shared>, model: &Arc<DiffusionModel>) {
 
 /// Upper bound on worker-loop respawns per thread: far above anything a
 /// fault plan produces, low enough that a deterministically crashing
-/// loop (a policy that panics on every pick) cannot spin forever.
+/// loop (a policy that panics on every ranking) cannot spin forever.
 const MAX_RESPAWNS: u64 = 64;
 
 /// The supervisor each worker thread actually runs: re-enters
@@ -2038,7 +1979,7 @@ mod tests {
             view(QosClass::BestEffort, None, 9),
             view(QosClass::Interactive, Some(1), 0),
         ];
-        assert_eq!(RoundRobin.pick(&q), 0);
+        assert_eq!(RoundRobin.rank(&q)[0], 0);
     }
 
     #[test]
@@ -2050,7 +1991,7 @@ mod tests {
             view(QosClass::BestEffort, None, 1),
             view(QosClass::Interactive, None, 3),
         ];
-        assert_eq!(WeightedFair.pick(&q), 1);
+        assert_eq!(WeightedFair.rank(&q)[0], 1);
         // At pass parity the heavier class wins — at equal virtual
         // time the better QoS class is served first, so an interactive
         // arrival at the frontier preempts a best-effort flood at the
@@ -2059,20 +2000,20 @@ mod tests {
             view(QosClass::BestEffort, None, 1),
             view(QosClass::Interactive, None, 4),
         ];
-        assert_eq!(WeightedFair.pick(&q), 1);
+        assert_eq!(WeightedFair.rank(&q)[0], 1);
         // At pass *and* weight parity the oldest submission wins.
         let q = [
             view(QosClass::Batch, None, 2),
             view(QosClass::Batch, None, 2),
         ];
-        assert_eq!(WeightedFair.pick(&q), 0);
+        assert_eq!(WeightedFair.rank(&q)[0], 0);
         // Single-class queues degrade to exact round-robin: equal
-        // counts pick the front.
+        // counts rank the front first.
         let q = [
             view(QosClass::Batch, None, 2),
             view(QosClass::Batch, None, 2),
         ];
-        assert_eq!(WeightedFair.pick(&q), 0);
+        assert_eq!(WeightedFair.rank(&q)[0], 0);
         // A newcomer joins at the frontier (submit initialises its
         // pass to the queue minimum), so an old submission with many
         // dispatches is not starved while the newcomer "catches up":
@@ -2083,7 +2024,7 @@ mod tests {
             view_at(QosClass::BestEffort, None, 0, 600),
         ];
         assert_eq!(
-            WeightedFair.pick(&q),
+            WeightedFair.rank(&q)[0],
             0,
             "frontier newcomer must not preempt the established share"
         );
@@ -2118,13 +2059,41 @@ mod tests {
             view(QosClass::Batch, Some(10), 5),
         ];
         // The tightest deadline wins regardless of class or position.
-        assert_eq!(DeadlineFirst.pick(&q), 2);
+        assert_eq!(DeadlineFirst.rank(&q)[0], 2);
         // No deadlines anywhere: weighted-fair order.
         let q = [
             view(QosClass::BestEffort, None, 1),
             view(QosClass::Interactive, None, 3),
         ];
-        assert_eq!(DeadlineFirst.pick(&q), 1);
+        assert_eq!(DeadlineFirst.rank(&q)[0], 1);
+    }
+
+    /// `normalize_ranking` is the guard between a policy's output and
+    /// dispatch: whatever the policy returns, the result is a
+    /// permutation of `0..len` that keeps the valid prefix's order.
+    #[test]
+    fn normalize_ranking_drops_out_of_range_indices() {
+        assert_eq!(
+            normalize_ranking(vec![2, 7, 0, usize::MAX, 1], 3),
+            [2, 0, 1]
+        );
+    }
+
+    #[test]
+    fn normalize_ranking_keeps_the_first_of_duplicates() {
+        assert_eq!(normalize_ranking(vec![1, 1, 0, 1, 0], 3), [1, 0, 2]);
+    }
+
+    #[test]
+    fn normalize_ranking_appends_missing_indices_in_queue_order() {
+        assert_eq!(normalize_ranking(vec![3], 5), [3, 0, 1, 2, 4]);
+        assert_eq!(normalize_ranking(Vec::new(), 3), [0, 1, 2]);
+    }
+
+    #[test]
+    fn normalize_ranking_of_an_empty_queue_is_empty() {
+        assert!(normalize_ranking(Vec::new(), 0).is_empty());
+        assert!(normalize_ranking(vec![0, 4], 0).is_empty());
     }
 
     #[test]

@@ -26,9 +26,11 @@ pub type ProgressHook = Arc<dyn Fn(Progress) + Send + Sync>;
 /// How a stream is delivered: metering, cancellation, backpressure.
 #[derive(Clone, Default)]
 pub struct StreamOptions {
-    /// Cooperative cancellation, checked between micro-batches; after
-    /// [`CancelToken::cancel`] the stream ends early with whatever
-    /// samples were already finished.
+    /// Cooperative cancellation; after [`CancelToken::cancel`] the
+    /// stream ends early with whatever samples were already finished.
+    /// A private worker pool ([`crate::DiffusionSampler`]) drops its
+    /// in-flight micro-batches at the next DDIM step; the scheduler
+    /// stops admitting the submission's remaining jobs.
     pub cancel: CancelToken,
     /// Invoked after each finished micro-batch.
     pub progress: Option<ProgressHook>,

@@ -34,8 +34,10 @@
 //! Sampling is available blocking ([`DiffusionModel::sample_inpaint_batch`])
 //! or streaming ([`DiffusionModel::sample_inpaint_stream`], micro-batches
 //! delivered in job order through bounded channels, cancellable via
-//! [`CancelToken`]); both share one worker implementation and are
-//! bit-identical per job.
+//! [`CancelToken`] at DDIM-step granularity); both share one worker
+//! implementation and are bit-identical per job. Every entry point,
+//! the engine scheduler's workers included, runs the one DDIM loop in
+//! [`slots`].
 
 #![forbid(unsafe_code)]
 

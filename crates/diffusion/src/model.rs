@@ -3,7 +3,8 @@
 use crate::ema::EmaShadow;
 use crate::error::ModelError;
 use crate::schedule::{BetaSchedule, NoiseSchedule};
-use crate::stream::{CancelToken, InpaintStream, MicroBatch};
+use crate::slots::ChunkFeed;
+use crate::stream::{CancelToken, InpaintStream};
 use crate::unet::{UNet, UNetConfig};
 use pp_geometry::GrayImage;
 use pp_nn::{Adam, Layer, Tensor};
@@ -488,17 +489,23 @@ impl DiffusionModel {
     ) -> Result<GrayImage, ModelError> {
         self.check_image("inpainting image", image)?;
         self.check_image("inpainting mask", mask)?;
-        let mut unet = self.unet.clone();
-        Ok(self
-            .sample_chunk(&mut unet, &[(image, mask)], &[seed])
-            .pop()
-            .expect("one job in, one sample out"))
+        // Job 0 of a one-job set: its stream seed is `seed ^ 0`.
+        let jobs = Arc::new(vec![(image.clone(), mask.clone())]);
+        let mut out = None;
+        self.slot_loop(
+            &mut self.unet.clone(),
+            &mut ChunkFeed::new(jobs, 0..1, 1, seed, CancelToken::new(), |mut mb| {
+                out = mb.samples.pop();
+                true
+            }),
+        )?;
+        Ok(out.expect("one job in, one sample out"))
     }
 
     /// Batch inpainting across worker threads: each worker packs its
-    /// whole chunk of jobs into one `[B, 3, H, W]` tensor and runs every
-    /// DDIM step over the micro-batch, amortising im2col + GEMM across
-    /// jobs. Results keep job order and are bit-identical to calling
+    /// whole chunk of jobs into one `[B, 3, H, W]` slot table and runs
+    /// every DDIM step over the micro-batch, amortising the network pass
+    /// across jobs. Results keep job order and are bit-identical to calling
     /// [`DiffusionModel::sample_inpaint`] per job with seed
     /// `seed ^ job_index`.
     ///
@@ -565,9 +572,10 @@ impl DiffusionModel {
     /// `capacity` bounds each worker's channel in micro-batches
     /// (backpressure for slow consumers); `0` sizes the channel to the
     /// worker's whole chunk so sampling never blocks on delivery.
-    /// `cancel` is checked between micro-batches: after cancellation no
-    /// new micro-batch starts, but finished ones still reach the
-    /// consumer (partial results).
+    /// `cancel` is checked at every DDIM step: after cancellation the
+    /// micro-batches in flight are dropped at the next step boundary and
+    /// no new one starts, but finished ones still reach the consumer
+    /// (partial results).
     ///
     /// Takes `&Arc<Self>` so the workers share the caller's allocation
     /// — a stream costs no weight copy beyond each worker's private
@@ -621,31 +629,14 @@ impl DiffusionModel {
             let jobs = Arc::clone(&jobs);
             let cancel = cancel.clone();
             handles.push(std::thread::spawn(move || {
-                let mut unet = model.unet.clone();
-                let mut done = start;
-                while done < end {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let take = micro.min(end - done);
-                    let refs: Vec<(&GrayImage, &GrayImage)> = jobs[done..done + take]
-                        .iter()
-                        .map(|(i, m)| (i, m))
-                        .collect();
-                    let seeds: Vec<u64> = (done..done + take).map(|i| seed ^ i as u64).collect();
-                    let samples = model.sample_chunk(&mut unet, &refs, &seeds);
-                    // A send error means the consumer dropped the stream.
-                    if tx
-                        .send(MicroBatch {
-                            start: done,
-                            samples,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                    done += take;
-                }
+                // A send error means the consumer dropped the stream.
+                let mut feed = ChunkFeed::new(jobs, start..end, micro, seed, cancel, |mb| {
+                    tx.send(mb).is_ok()
+                });
+                model
+                    .worker()
+                    .run_slots(&mut feed)
+                    .expect("jobs are validated before the workers start");
             }));
         }
         Ok(InpaintStream::new(rxs, handles, total))
@@ -677,99 +668,6 @@ impl DiffusionModel {
         self.sample_inpaint_batch(&jobs, seed ^ 0x9e3779b9, 2)
             .expect("prior jobs are well-formed by construction")
     }
-
-    /// The batched DDIM core: runs `jobs` (image, mask pairs) through
-    /// the reverse process together, one network pass per step for the
-    /// whole micro-batch.
-    ///
-    /// Per-job noise comes from an RNG stream seeded by `seeds[i]`, and
-    /// every per-pixel operation is sample-local, so each job's output
-    /// is bit-identical to running it alone with the same seed. The
-    /// input tensor is built once and only its noisy-image planes are
-    /// rewritten per step; combined with the U-Net's pooled inference
-    /// path, a warmed-up loop allocates nothing per step.
-    fn sample_chunk(
-        &self,
-        unet: &mut UNet,
-        jobs: &[(&GrayImage, &GrayImage)],
-        seeds: &[u64],
-    ) -> Vec<GrayImage> {
-        assert_eq!(jobs.len(), seeds.len(), "one seed per job");
-        let b = jobs.len();
-        let side = self.cfg.image as usize;
-        let hw = side * side;
-
-        // Static conditioning planes (mask, masked image) are written
-        // once; plane 0 (x_t) is refreshed every step.
-        let mut input = Tensor::zeros([b, 3, side, side]);
-        let mut xs: Vec<Vec<f32>> = Vec::with_capacity(b);
-        for (bi, ((image, mask), &job_seed)) in jobs.iter().zip(seeds).enumerate() {
-            debug_assert_eq!(
-                image.width(),
-                self.cfg.image,
-                "validated by the public entry points"
-            );
-            debug_assert_eq!(
-                mask.width(),
-                self.cfg.image,
-                "validated by the public entry points"
-            );
-            let m = mask.as_pixels();
-            input.plane_mut(bi, 1).copy_from_slice(m);
-            let masked = input.plane_mut(bi, 2);
-            for (dst, (&v, &mm)) in masked.iter_mut().zip(image.as_pixels().iter().zip(m)) {
-                *dst = if mm > 0.5 { 0.0 } else { v };
-            }
-            let mut rng = StdRng::seed_from_u64(job_seed);
-            xs.push((0..hw).map(|_| randn(&mut rng)).collect());
-        }
-
-        let ts = self.schedule.ddim_timesteps(self.cfg.ddim_steps);
-        let mut tvec = vec![0usize; b];
-        let mut x0_hat = vec![0.0f32; hw];
-        for (i, &t) in ts.iter().enumerate() {
-            for (bi, x) in xs.iter().enumerate() {
-                input.plane_mut(bi, 0).copy_from_slice(x);
-            }
-            tvec.fill(t);
-            let pred = unet.forward_infer(&input, &tvec);
-            // Recover x̂0 from the network output (ε-models via
-            // x̂0 = (x_t − √(1−ᾱ)·ε̂)/√ᾱ), then composite the known
-            // region into the prediction (Eq. 8).
-            let ab = self.schedule.alpha_bar(t);
-            let (sa, sn) = (ab.sqrt().max(1e-4), (1.0 - ab).sqrt());
-            let s = if i + 1 < ts.len() {
-                ts[i + 1]
-            } else {
-                usize::MAX
-            };
-            for (bi, ((image, mask), x)) in jobs.iter().zip(&mut xs).enumerate() {
-                let x0_known = image.as_pixels();
-                let m = mask.as_pixels();
-                let pp = pred.plane(bi, 0);
-                for (j, xh) in x0_hat.iter_mut().enumerate() {
-                    let x0_model = match self.cfg.parameterization {
-                        Parameterization::X0 => pp[j],
-                        Parameterization::Epsilon => (x[j] - sn * pp[j]) / sa,
-                    };
-                    *xh = if m[j] > 0.5 {
-                        x0_model.clamp(-1.0, 1.0)
-                    } else {
-                        x0_known[j]
-                    };
-                }
-                self.schedule.ddim_step_in_place(x, &x0_hat, t, s);
-            }
-            unet.recycle(pred);
-        }
-        xs.into_iter()
-            .map(|x| {
-                let mut out = GrayImage::from_pixels(self.cfg.image, self.cfg.image, x);
-                out.clamp(-1.0, 1.0);
-                out
-            })
-            .collect()
-    }
 }
 
 /// A sampling worker bound to a shared [`DiffusionModel`] snapshot.
@@ -778,9 +676,9 @@ impl DiffusionModel {
 /// workspace buffers warm up across calls, exactly like the workers
 /// behind [`DiffusionModel::sample_inpaint_stream`]. Obtained from
 /// [`DiffusionModel::worker`]; external schedulers drive one worker per
-/// thread and hand each call whatever micro-batch they chose — results
-/// are bit-identical to any other grouping of the same `(job, seed)`
-/// pairs.
+/// thread through [`InpaintWorker::run_slots`] with whatever admission
+/// they choose — results are bit-identical to any other grouping of the
+/// same `(job, seed)` pairs.
 #[derive(Debug)]
 pub struct InpaintWorker {
     pub(crate) model: Arc<DiffusionModel>,
@@ -791,30 +689,6 @@ impl InpaintWorker {
     /// The model this worker samples from.
     pub fn model(&self) -> &DiffusionModel {
         &self.model
-    }
-
-    /// Runs one micro-batch: job `i` is inpainted with RNG stream
-    /// `seeds[i]`, and outputs keep job order.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Shape`] when a job image or mask does not match
-    /// the configured size.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `jobs.len() != seeds.len()`.
-    pub fn run(
-        &mut self,
-        jobs: &[(&GrayImage, &GrayImage)],
-        seeds: &[u64],
-    ) -> Result<Vec<GrayImage>, ModelError> {
-        assert_eq!(jobs.len(), seeds.len(), "one seed per job");
-        for (img, mask) in jobs {
-            self.model.check_image("inpainting image", img)?;
-            self.model.check_image("inpainting mask", mask)?;
-        }
-        Ok(self.model.sample_chunk(&mut self.unet, jobs, seeds))
     }
 }
 
@@ -1223,27 +1097,39 @@ mod tests {
 
     /// A detached worker computes exactly what the model's own batch
     /// path computes for the same `(job, seed)` pairs, regardless of
-    /// how the jobs are grouped into `run` calls.
+    /// how the jobs are grouped into `run_slots` calls.
     #[test]
     fn worker_matches_batch_path() {
         let model = Arc::new(DiffusionModel::new(DiffusionConfig::tiny(16), 21));
-        let jobs = mixed_jobs(5);
+        let jobs = Arc::new(mixed_jobs(5));
         let batch = model.sample_inpaint_batch_sized(&jobs, 0x33, 1, 0).unwrap();
         let mut worker = model.worker();
         let mut out = Vec::new();
         // Deliberately ragged grouping: 2 + 1 + 2.
         for range in [0..2usize, 2..3, 3..5] {
-            let refs: Vec<(&GrayImage, &GrayImage)> =
-                jobs[range.clone()].iter().map(|(i, m)| (i, m)).collect();
-            let seeds: Vec<u64> = range.map(|i| 0x33 ^ i as u64).collect();
-            out.extend(worker.run(&refs, &seeds).unwrap());
+            let micro = range.len();
+            let mut feed = ChunkFeed::new(
+                Arc::clone(&jobs),
+                range,
+                micro,
+                0x33,
+                CancelToken::new(),
+                |mb| {
+                    out.extend(mb.samples);
+                    true
+                },
+            );
+            worker.run_slots(&mut feed).unwrap();
         }
         assert_eq!(out, batch);
         // Shape validation still guards the worker path.
-        let bad = GrayImage::filled(8, 8, -1.0);
-        let mask = GrayImage::filled(16, 16, 1.0);
+        let bad = Arc::new(vec![(
+            GrayImage::filled(8, 8, -1.0),
+            GrayImage::filled(16, 16, 1.0),
+        )]);
+        let mut feed = ChunkFeed::new(bad, 0..1, 1, 0, CancelToken::new(), |_| true);
         assert!(matches!(
-            worker.run(&[(&bad, &mask)], &[0]).unwrap_err(),
+            worker.run_slots(&mut feed).unwrap_err(),
             ModelError::Shape { .. }
         ));
     }

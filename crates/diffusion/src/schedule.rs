@@ -108,20 +108,13 @@ impl NoiseSchedule {
     }
 
     /// One deterministic DDIM update: given `x_t`, the model's `x̂0` and
-    /// a target step `s < t`, returns `x_s`.
+    /// a target step `s < t`, overwrites `x_t` with `x_s` — each element
+    /// depends only on its own position, so the sampling loop needs no
+    /// second state buffer.
     ///
     /// Uses `ε̂ = (x_t − √ᾱ_t·x̂0) / √(1−ᾱ_t)` and
     /// `x_s = √ᾱ_s·x̂0 + √(1−ᾱ_s)·ε̂`. Passing `s = usize::MAX` (no
-    /// further step) returns `x̂0` directly.
-    pub fn ddim_step(&self, x_t: &[f32], x0_hat: &[f32], t: usize, s: usize) -> Vec<f32> {
-        let mut x = x_t.to_vec();
-        self.ddim_step_in_place(&mut x, x0_hat, t, s);
-        x
-    }
-
-    /// [`NoiseSchedule::ddim_step`] writing `x_{t-1}` over `x_t` in
-    /// place — each element depends only on its own position, so the
-    /// sampling loop needs no second state buffer.
+    /// further step) writes `x̂0` directly.
     pub fn ddim_step_in_place(&self, x_t: &mut [f32], x0_hat: &[f32], t: usize, s: usize) {
         if s == usize::MAX {
             x_t.copy_from_slice(x0_hat);
@@ -177,9 +170,9 @@ mod tests {
     fn ddim_step_recovers_x0_at_end() {
         let s = NoiseSchedule::new(100, BetaSchedule::Linear);
         let x0 = vec![0.7f32, -0.3];
-        let xt = s.q_sample(&x0, 99, &[0.1, -0.2]);
-        let out = s.ddim_step(&xt, &x0, 99, usize::MAX);
-        assert_eq!(out, x0);
+        let mut x = s.q_sample(&x0, 99, &[0.1, -0.2]);
+        s.ddim_step_in_place(&mut x, &x0, 99, usize::MAX);
+        assert_eq!(x, x0);
     }
 
     #[test]
@@ -192,10 +185,10 @@ mod tests {
         let ts = s.ddim_timesteps(10);
         let mut x = s.q_sample(&x0, ts[0], &noise);
         for w in ts.windows(2) {
-            x = s.ddim_step(&x, &x0, w[0], w[1]);
+            s.ddim_step_in_place(&mut x, &x0, w[0], w[1]);
         }
-        let x_final = s.ddim_step(&x, &x0, *ts.last().unwrap(), usize::MAX);
-        for (a, b) in x_final.iter().zip(&x0) {
+        s.ddim_step_in_place(&mut x, &x0, *ts.last().unwrap(), usize::MAX);
+        for (a, b) in x.iter().zip(&x0) {
             assert!((a - b).abs() < 1e-4);
         }
     }

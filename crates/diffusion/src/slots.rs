@@ -1,17 +1,23 @@
-//! The slot-table forward path: continuous batching at DDIM-step
-//! granularity.
+//! The slot-table forward path: the one reverse-diffusion loop, with
+//! continuous batching at DDIM-step granularity.
 //!
-//! [`InpaintWorker::run`] samples one fixed micro-batch per call — every
-//! job enters the packed `[B, 3, H, W]` tensor at step 0 and leaves at
-//! the final step together, so a scheduler can only add work at batch
-//! boundaries. [`InpaintWorker::run_slots`] removes that constraint: the
-//! worker keeps a *slot table* of in-flight jobs, each with its own
-//! template, mask, RNG stream and **step cursor**, and between any two
-//! DDIM steps it asks a [`SlotFeed`] for new jobs to admit into free
-//! slots. Every forward pass packs the active slots into one tensor with
-//! a *per-slot* timestep vector, so slots at different cursor depths
-//! share the pass the way LLM serving engines continuously batch
-//! requests at token granularity.
+//! [`InpaintWorker::run_slots`] keeps a *slot table* of in-flight jobs,
+//! each with its own template, mask, RNG stream and **step cursor**, and
+//! between any two DDIM steps it asks a [`SlotFeed`] for new jobs to
+//! admit into free slots. Every forward pass packs the active slots into
+//! one tensor with a *per-slot* timestep vector, so slots at different
+//! cursor depths share the pass the way LLM serving engines continuously
+//! batch requests at token granularity. Each step recovers x̂0, composites
+//! the known pixels back in (paper Eq. 8) and takes the DDIM update.
+//!
+//! Every sampling entry point runs this loop; they differ only in their
+//! feed. `pp-core`'s engine scheduler admits from many submissions into
+//! a table at any step. [`DiffusionModel::sample_inpaint`], the batch
+//! entry points, [`DiffusionModel::sample_prior`] and each
+//! [`DiffusionModel::sample_inpaint_stream`] worker use the crate's
+//! chunk feed instead. It admits the next micro-batch of one contiguous
+//! chunk only into an empty table, so all of a micro-batch's slots share
+//! one cursor.
 //!
 //! **Why this is bit-identical to solo sampling.** Every per-pixel
 //! operation in the DDIM loop is sample-local; the U-Net computes its
@@ -22,22 +28,24 @@
 //! job's output therefore depends on `(template, mask, seed)` alone —
 //! never on which slots shared its passes or at what cursor depth they
 //! ran. `slot_table_matches_solo_under_staggered_admission` (below)
-//! asserts exactly that.
+//! asserts exactly that, and `tests/ddim_digest.rs` pins the outputs
+//! themselves.
 //!
 //! The loop never blocks between steps on its own: [`SlotFeed::refill`]
 //! may block waiting for work only while the table is empty. The feed is
 //! also the delivery side ([`SlotFeed::complete`]) and the cancellation
 //! side ([`SlotFeed::evict`]), so the whole scheduling policy lives with
-//! the caller — `pp-core`'s engine scheduler drives this from its worker
-//! threads, but the trait is deliberately freestanding (see the tests
+//! the caller. The trait is deliberately freestanding (see the tests
 //! for a scripted feed).
 
 use crate::error::ModelError;
 use crate::model::{randn, DiffusionModel, InpaintWorker, Parameterization};
+use crate::stream::{CancelToken, MicroBatch};
 use pp_geometry::GrayImage;
 use pp_nn::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One job handed to a worker's slot table by a [`SlotFeed`].
@@ -98,6 +106,101 @@ pub trait SlotFeed {
     /// Observability hook: called once per packed forward pass with the
     /// number of active slots in it. Default: no-op.
     fn on_step(&mut self, _active: usize) {}
+}
+
+/// The feed behind every fixed-chunk sampling entry point: admits the
+/// jobs of one contiguous chunk, at most `micro` at a time and only into
+/// an empty table, with seed `seed ^ index`.
+///
+/// Completions are buffered, and the finished [`MicroBatch`] goes to
+/// `deliver` from the next [`SlotFeed::refill`]: that is the one hook
+/// allowed to block, so a full bounded channel stalls admission, never
+/// a step. `deliver` returning `false` (the consumer is gone) ends the
+/// run. Once `cancel` is set, in-flight slots are evicted at the next
+/// step boundary and their micro-batch is never delivered; a micro-batch
+/// that finished earlier still is.
+pub(crate) struct ChunkFeed<D: FnMut(MicroBatch) -> bool> {
+    jobs: Arc<Vec<(GrayImage, GrayImage)>>,
+    /// The next job to admit; `batch.start..next` are in flight.
+    next: usize,
+    end: usize,
+    micro: usize,
+    seed: u64,
+    cancel: CancelToken,
+    batch: MicroBatch,
+    deliver: D,
+}
+
+impl<D: FnMut(MicroBatch) -> bool> ChunkFeed<D> {
+    pub(crate) fn new(
+        jobs: Arc<Vec<(GrayImage, GrayImage)>>,
+        chunk: Range<usize>,
+        micro: usize,
+        seed: u64,
+        cancel: CancelToken,
+        deliver: D,
+    ) -> Self {
+        ChunkFeed {
+            jobs,
+            next: chunk.start,
+            end: chunk.end,
+            micro,
+            seed,
+            cancel,
+            batch: MicroBatch {
+                start: chunk.start,
+                samples: Vec::new(),
+            },
+            deliver,
+        }
+    }
+}
+
+impl<D: FnMut(MicroBatch) -> bool> SlotFeed for ChunkFeed<D> {
+    fn refill(&mut self, active: usize) -> Vec<SlotJob> {
+        if active > 0 {
+            return Vec::new();
+        }
+        // The table is empty, so the micro-batch in flight (if any)
+        // either finished or was evicted whole.
+        if self.batch.start < self.next {
+            let fresh = MicroBatch {
+                start: self.next,
+                samples: Vec::new(),
+            };
+            let batch = std::mem::replace(&mut self.batch, fresh);
+            if batch.samples.len() == self.next - batch.start && !(self.deliver)(batch) {
+                self.end = self.next;
+            }
+        }
+        if self.cancel.is_cancelled() {
+            return Vec::new();
+        }
+        let take = self.micro.min(self.end - self.next);
+        let first = self.next;
+        self.next += take;
+        (first..self.next)
+            .map(|index| SlotJob {
+                tag: index as u64,
+                jobs: Arc::clone(&self.jobs),
+                index,
+                seed: self.seed ^ index as u64,
+            })
+            .collect()
+    }
+
+    fn complete(&mut self, tag: u64, sample: GrayImage) {
+        debug_assert_eq!(
+            tag as usize,
+            self.batch.start + self.batch.samples.len(),
+            "one micro-batch's slots share a cursor and complete in job order"
+        );
+        self.batch.samples.push(sample);
+    }
+
+    fn evict(&mut self, _tag: u64) -> bool {
+        self.cancel.is_cancelled()
+    }
 }
 
 /// One in-flight slot: a job, its evolving `x_t`, and its step cursor.
@@ -216,10 +319,9 @@ impl DiffusionModel {
                 }
                 let pred = unet.forward_infer(&input, &tvec);
                 for (bi, slot) in slots.iter_mut().enumerate() {
-                    // Per-slot step constants: each slot recovers x̂0 and
-                    // advances with *its own* `t → s` pair, exactly the
-                    // arithmetic `sample_chunk` applies batch-wide when
-                    // every job shares one cursor.
+                    // Per-slot step constants: each slot recovers x̂0
+                    // (ε-models via x̂0 = (x_t − √(1−ᾱ)·ε̂)/√ᾱ) and
+                    // advances with *its own* `t → s` pair.
                     let t = ts[slot.cursor];
                     let ab = self.schedule().alpha_bar(t);
                     let (sa, sn) = (ab.sqrt().max(1e-4), (1.0 - ab).sqrt());
@@ -422,6 +524,76 @@ mod tests {
             let (image, mask) = &jobs[i];
             let solo = model.sample_inpaint(image, mask, 3 ^ i as u64).unwrap();
             assert_eq!(feed.done[&(i as u64)], solo);
+        }
+    }
+
+    /// Counts packed passes and sets the cancel token during pass
+    /// `cancel_at`; everything else goes to the wrapped feed.
+    struct CancelOnStep<F> {
+        inner: F,
+        steps: usize,
+        cancel_at: usize,
+        cancel: CancelToken,
+    }
+
+    impl<F: SlotFeed> SlotFeed for CancelOnStep<F> {
+        fn refill(&mut self, active: usize) -> Vec<SlotJob> {
+            self.inner.refill(active)
+        }
+
+        fn complete(&mut self, tag: u64, sample: GrayImage) {
+            self.inner.complete(tag, sample);
+        }
+
+        fn evict(&mut self, tag: u64) -> bool {
+            self.inner.evict(tag)
+        }
+
+        fn on_step(&mut self, active: usize) {
+            self.steps += 1;
+            if self.steps == self.cancel_at {
+                self.cancel.cancel();
+            }
+            self.inner.on_step(active);
+        }
+    }
+
+    /// Cancelling a chunk feed mid micro-batch stops the worker right
+    /// after the current step: the cut micro-batch is evicted and never
+    /// delivered, while the one that finished earlier is.
+    #[test]
+    fn chunk_feed_cancel_is_step_granular() {
+        let model = Arc::new(DiffusionModel::new(DiffusionConfig::tiny(16), 8));
+        let steps = model
+            .schedule()
+            .ddim_timesteps(model.config().ddim_steps)
+            .len();
+        assert!(steps >= 2, "need a step inside the second micro-batch");
+        let jobs = mixed_jobs(6);
+        let cancel = CancelToken::new();
+        let mut delivered = Vec::new();
+        // Micro-batches of 2 run `steps` passes each; cancel during the
+        // first pass of the second one.
+        let cut = steps + 1;
+        let mut feed = CancelOnStep {
+            inner: ChunkFeed::new(Arc::clone(&jobs), 0..6, 2, 5, cancel.clone(), |mb| {
+                delivered.push(mb);
+                true
+            }),
+            steps: 0,
+            cancel_at: cut,
+            cancel,
+        };
+        model.worker().run_slots(&mut feed).unwrap();
+        assert_eq!(feed.steps, cut, "the worker ran past the cancelling step");
+        assert_eq!(delivered.len(), 1, "the cut micro-batch was delivered");
+        assert_eq!(delivered[0].start, 0);
+        for (i, sample) in delivered[0].samples.iter().enumerate() {
+            let (image, mask) = &jobs[i];
+            assert_eq!(
+                *sample,
+                model.sample_inpaint(image, mask, 5 ^ i as u64).unwrap()
+            );
         }
     }
 

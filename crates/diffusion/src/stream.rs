@@ -1,10 +1,10 @@
 //! Streaming delivery of batched inpainting results.
 //!
 //! [`crate::DiffusionModel::sample_inpaint_stream`] runs the same
-//! chunked, micro-batched DDIM workers as the blocking batch API, but
-//! delivers every finished micro-batch through a bounded channel as soon
-//! as it completes — in job order — so callers can consume, meter, or
-//! abort a round without waiting for the whole batch.
+//! chunked, micro-batched slot-loop workers as the blocking batch API,
+//! but delivers every finished micro-batch through a bounded channel as
+//! soon as it completes — in job order — so callers can consume, meter,
+//! or abort a round without waiting for the whole batch.
 
 use pp_geometry::GrayImage;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,9 +15,10 @@ use std::thread::JoinHandle;
 /// A cooperative cancellation flag shared between a stream's consumer
 /// and its sampling workers.
 ///
-/// Workers check the token between micro-batches: after
-/// [`CancelToken::cancel`] no *new* micro-batch starts, while batches
-/// already computed still reach the consumer (partial results).
+/// Workers check the token at every DDIM step: after
+/// [`CancelToken::cancel`] the micro-batches in flight are dropped at
+/// the next step boundary and no *new* one starts, while batches
+/// already finished still reach the consumer (partial results).
 /// Cloning shares the flag.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
@@ -56,7 +57,8 @@ pub struct MicroBatch {
 /// its micro-batches through its own bounded channel; the iterator
 /// drains worker 0's channel, then worker 1's, and so on, so batches
 /// arrive sorted by `start`. Dropping the stream early disconnects the
-/// channels, which stops the workers at their next send.
+/// channels, which stops the workers at their next send. Cancelling
+/// the stream's [`CancelToken`] stops them within one DDIM step.
 ///
 /// A panic on a worker thread is resurfaced on the consumer thread
 /// when its channel disconnects (matching the scoped-thread behaviour

@@ -59,15 +59,16 @@ fn solo_patterns(engine: &Engine, n: usize, seed: u64) -> Vec<Layout> {
     solo.into_library().patterns().to_vec()
 }
 
-/// A policy whose every pick panics: the supervisor respawns the worker
-/// loop until the respawn budget runs out, at which point the replica's
-/// whole worker pool is gone — the fleet's replica-loss trigger.
+/// A policy whose every ranking panics: the supervisor respawns the
+/// worker loop until the respawn budget runs out, at which point the
+/// replica's whole worker pool is gone — the fleet's replica-loss
+/// trigger.
 struct AlwaysPanic;
 impl SchedPolicy for AlwaysPanic {
     fn name(&self) -> &str {
         "always-panic"
     }
-    fn pick(&mut self, _queue: &[SchedView]) -> usize {
+    fn rank(&mut self, _queue: &[SchedView]) -> Vec<usize> {
         panic!("policy wedged on purpose");
     }
 }

@@ -334,20 +334,46 @@ fn scheduler_overflow_rejects_sessions_and_service_jobs() {
 /// results stay bit-identical (the policy can only reorder).
 #[test]
 fn custom_policies_plug_in_without_changing_results() {
-    /// Perverse on purpose: always picks the *newest* submission.
+    /// Perverse on purpose: always ranks the *newest* submission first.
     struct NewestFirst;
     impl SchedPolicy for NewestFirst {
         fn name(&self) -> &str {
             "newest-first"
         }
-        fn pick(&mut self, queue: &[patternpaint::core::SchedView]) -> usize {
-            queue.len() - 1
+        fn rank(&mut self, queue: &[patternpaint::core::SchedView]) -> Vec<usize> {
+            (0..queue.len()).rev().collect()
         }
     }
     let engine = tiny_engine(7);
     let scheduler = engine.scheduler_with(2, SchedulerOptions::new().policy(NewestFirst));
     assert_tenants_match_solo(&engine, &scheduler, &unequal_tenants());
     assert_eq!(scheduler.stats().policy, "newest-first");
+}
+
+/// A policy whose rankings are garbage — out-of-range and duplicate
+/// indices, missing submissions, empty rankings — still serves every
+/// tenant, bit-identically: the dispatcher repairs each ranking before
+/// walking it.
+#[test]
+fn garbage_rankings_still_match_solo() {
+    struct Garbage;
+    impl SchedPolicy for Garbage {
+        fn name(&self) -> &str {
+            "garbage"
+        }
+        fn rank(&mut self, queue: &[patternpaint::core::SchedView]) -> Vec<usize> {
+            let len = queue.len();
+            if queue[0].remaining.is_multiple_of(2) {
+                Vec::new()
+            } else {
+                vec![len + 1, len - 1, len - 1, usize::MAX]
+            }
+        }
+    }
+    let engine = tiny_engine(7);
+    let scheduler = engine.scheduler_with(2, SchedulerOptions::new().policy(Garbage));
+    assert_tenants_match_solo(&engine, &scheduler, &unequal_tenants());
+    assert_eq!(scheduler.stats().policy, "garbage");
 }
 
 /// Dropping the receiver mid-retry abandons the job cleanly: when a
